@@ -19,6 +19,7 @@ alike instead of biasing one.
 
 from __future__ import annotations
 
+import sys
 import time
 
 from conftest import run_once
@@ -71,29 +72,53 @@ def test_bench_no_probe_fast_path_vs_default(benchmark):
           f"({t_bare / t_default:.2%} of default)")
 
 
-def test_bench_telemetry_disabled_path_is_free(benchmark):
+def _telemetry_work(simulation: Simulation, trace):
+    """Calls into ``repro.telemetry`` and clock reads during one run.
+
+    Counted by a ``sys.setprofile`` hook, so the figure is the same on
+    every host: a telemetry probe, span or clock read on the run's path
+    shows up as a nonzero count, however cheap it is.
+    """
+    counts = {"telemetry_calls": 0, "clock_reads": 0}
+    clocks = (time.perf_counter, time.monotonic)
+
+    def hook(frame, event, arg):
+        if event == "call":
+            if str(frame.f_globals.get("__name__", "")).startswith("repro.telemetry"):
+                counts["telemetry_calls"] += 1
+        elif event == "c_call" and any(arg is clock for clock in clocks):
+            counts["clock_reads"] += 1
+
+    sys.setprofile(hook)
+    try:
+        simulation.run(trace)
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
+def test_bench_telemetry_disabled_path_is_free():
     """telemetry=None must leave the hot path untouched.
 
     The opt-in telemetry layer only acts when a session is passed: no
     probes attach, no clock is read, and the run body is wrapped in a
-    nullcontext.  Guard that structurally and with the same 5% timing
-    tolerance as the other fast-path invariants.
+    nullcontext.  Guard that structurally and by counting the telemetry
+    work a disabled run does, which must be none at all; an enabled run
+    is the control that shows the count sees that work.
     """
+    from repro.telemetry import TelemetrySession
+
     config = scaled_baseline(window=256, memory_latency=200)
-    trace = _trace()
-    default = Simulation(config)
+    trace = daxpy(elements=100)
     disabled = Simulation(config, telemetry=None)
     pipeline = disabled.pipeline(trace)
     assert len(pipeline.probes) == 1  # occupancy only; telemetry added nothing
-    t_default, t_disabled = run_once(
-        benchmark, lambda: _interleaved_best(default, disabled, trace)
+    off = _telemetry_work(disabled, trace)
+    assert off == {"telemetry_calls": 0, "clock_reads": 0}, (
+        f"telemetry=None run did telemetry work: {off}"
     )
-    assert t_disabled <= TOLERANCE * t_default, (
-        f"telemetry-disabled run took {t_disabled:.4f}s vs. default "
-        f"{t_default:.4f}s (> {TOLERANCE:.0%}); telemetry=None must be free"
-    )
-    print(f"\ntelemetry-off {t_disabled:.4f}s vs default {t_default:.4f}s "
-          f"({t_disabled / t_default:.2%} of default)")
+    on = _telemetry_work(Simulation(config, telemetry=TelemetrySession()), trace)
+    assert on["telemetry_calls"] > 0 and on["clock_reads"] > 0, on
 
 
 def test_bench_inert_probe_costs_nothing(benchmark):

@@ -19,8 +19,7 @@ Quickstart::
 The :mod:`repro.api` facade is the front door (``Simulation``, ``run``,
 ``run_many``); machine organizations are pluggable through
 :mod:`repro.core.registry_machines` and observation happens through
-:mod:`repro.core.probes`.  ``Processor``/``simulate`` remain as
-deprecation shims.
+:mod:`repro.core.probes`.
 """
 
 from .common.config import (
@@ -49,9 +48,8 @@ from .common.errors import (
     TraceError,
 )
 from .common.stats import StatsRegistry
-from .core.pipeline import BaselinePipeline, OoOCommitPipeline, PipelineBase, build_pipeline
+from .core.pipeline import BaselinePipeline, OoOCommitPipeline, PipelineBase
 from .core.probes import CallbackProbe, OccupancyProbe, Probe
-from .core.processor import Processor, average_ipc, simulate
 from .core.registry_machines import (
     MachineSpec,
     create_pipeline,
@@ -111,7 +109,6 @@ __all__ = [
     "BaselinePipeline",
     "OoOCommitPipeline",
     "PipelineBase",
-    "build_pipeline",
     "CallbackProbe",
     "OccupancyProbe",
     "Probe",
@@ -126,9 +123,6 @@ __all__ = [
     "Simulation",
     "run",
     "run_many",
-    "Processor",
-    "average_ipc",
-    "simulate",
     "SimulationResult",
     "DynInst",
     "InstState",

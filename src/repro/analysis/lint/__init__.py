@@ -18,7 +18,6 @@ Rule families (the catalog lives in docs/architecture.md):
 * RPR202        semantic fingerprints vs repro.__version__
 * RPR301/302    hot-path hygiene: __slots__, attrs outside __init__
 * RPR401        probe contract: on_cycle without on_idle_cycles
-* RPR501        deprecated entry-point shims instead of repro.api
 """
 
 from .baseline import META_RULES, BaselineEntry, load_baseline

@@ -28,7 +28,6 @@ from . import fingerprints as _fingerprints  # noqa: F401
 from . import hotpath as _hotpath  # noqa: F401
 from . import probes as _probes  # noqa: F401
 from . import robustness as _robustness  # noqa: F401
-from . import shims as _shims  # noqa: F401
 
 from .fingerprints import update_fingerprints as _update_fingerprints
 

@@ -37,9 +37,6 @@ Four layers sit underneath:
 Traces themselves round-trip through versioned gzip-JSON files
 (:func:`save_trace`/:func:`load_trace`, ``repro trace`` on the command
 line), so expensive workloads are generated once and replayed.
-
-``repro.core.processor.Processor`` and ``simulate`` remain as
-deprecation shims over this module.
 """
 
 from __future__ import annotations

@@ -7,9 +7,8 @@ from .fu import ExecutionUnits, FunctionalUnitPool
 from .iq import InstructionQueue, WakeupNetwork
 from .lsq import LoadStoreQueue
 from .machines import PerfectL2Pipeline, UnboundedROBPipeline
-from .pipeline import BaselinePipeline, OoOCommitPipeline, PipelineBase, build_pipeline
+from .pipeline import BaselinePipeline, OoOCommitPipeline, PipelineBase
 from .probes import CallbackProbe, OccupancyProbe, Probe, default_probes
-from .processor import Processor, average_ipc, simulate
 from .pseudo_rob import PseudoROB
 from .regfile import PhysicalPool, PhysicalRegisterFile
 from .registry_machines import (
@@ -54,10 +53,6 @@ __all__ = [
     "BaselinePipeline",
     "OoOCommitPipeline",
     "PipelineBase",
-    "build_pipeline",
-    "Processor",
-    "average_ipc",
-    "simulate",
     "PseudoROB",
     "PhysicalPool",
     "PhysicalRegisterFile",

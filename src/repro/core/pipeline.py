@@ -24,7 +24,6 @@ attached by default.
 from __future__ import annotations
 
 import heapq
-import warnings
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -1278,24 +1277,3 @@ class OoOCommitPipeline(PipelineBase):
         self.stats.counter("sliq.pressure_evictions").add()
         return True
 
-
-def build_pipeline(
-    config: ProcessorConfig,
-    trace: Trace,
-    stats: Optional[StatsRegistry] = None,
-    probes: Optional[Sequence[Probe]] = None,
-) -> PipelineBase:
-    """Deprecated factory; use :func:`repro.core.registry_machines.create_pipeline`.
-
-    Selects the registered machine implied by ``config.mode``; kept as a
-    shim so pre-registry callers keep working.
-    """
-    warnings.warn(
-        "build_pipeline() is deprecated; use repro.api.Simulation or "
-        "repro.core.registry_machines.create_pipeline()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .registry_machines import create_pipeline
-
-    return create_pipeline(config, trace, stats, probes=probes or ())

@@ -20,8 +20,7 @@ own cache keys), and shows up in ``repro modes`` and the CLI's
 ``config.py`` or ``cli.py``.
 
 ``ProcessorConfig.validate`` and the CLI derive the set of valid modes
-from this registry; :func:`create_pipeline` is the canonical factory
-(the old ``build_pipeline`` is a deprecation shim around it).
+from this registry; :func:`create_pipeline` is the factory.
 """
 
 from __future__ import annotations

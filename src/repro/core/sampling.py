@@ -22,16 +22,15 @@ sampling in the SMARTS tradition:
 
 Because every window starts from a snapshot of the *functional* pass —
 never from another window's detailed leftovers — the windows are
-independent by construction.  That buys two things on top of PR 5's
-serial driver:
+independent by construction.  That buys two things:
 
 * **Parallel windows** (``parallel_windows=N`` /  ``--sample-jobs N``):
-  the windows fan out across a supervised
-  :class:`~repro.robustness.pool.ResilientPool`, each worker simulating
-  one window and returning its cycle attribution plus a raw statistics
-  dump; the parent reduces the dumps in window order, so the result —
-  windows, IPC, CI, every statistic — is bit-identical to the serial
-  driver.
+  every window is one task of a supervised
+  :class:`~repro.robustness.pool.ResilientPool`, which runs the tasks
+  in the parent for ``N=1`` and on ``N`` workers otherwise.  Each task
+  returns its cycle attribution plus a raw statistics dump, and the
+  parent reduces the dumps in window order, so the result — windows,
+  IPC, CI, every statistic — does not depend on ``N``.
 * **Reusable warm-state checkpoints** (``checkpoint_dir=``): the
   snapshots are persisted as a sha256-keyed
   :class:`~repro.trace.io.WarmCheckpoint` file.  The key covers only
@@ -54,6 +53,7 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..branch import BranchTargetBuffer
@@ -62,6 +62,8 @@ from ..common.errors import ConfigurationError, SimulationError
 from ..common.eviction import evict_lru
 from ..common.stats import StatsRegistry, ratio
 from ..memory.hierarchy import CacheHierarchy
+from ..robustness.pool import ResilientPool
+from ..robustness.retry import RetryPolicy
 from ..trace.io import CHECKPOINT_SUFFIX, WarmCheckpoint
 from ..trace.trace import Trace
 from . import warmstate
@@ -69,8 +71,7 @@ from .registry_machines import create_pipeline, get_machine
 from .result import SimulationResult
 
 #: Functional warm-up passes executed by this process (tests assert that
-#: checkpoint reuse makes an N-machine sweep warm up once, mirroring the
-#: ``TRACE_BUILDS`` counter in :mod:`repro.experiments.sweep`).
+#: checkpoint reuse makes an N-machine sweep warm up once).
 WARM_PASSES = 0
 
 
@@ -442,165 +443,83 @@ def warm_checkpoint(
     return warmstate.checkpoint_path(checkpoint_dir, key), key, WARM_PASSES == before
 
 
-def _execute_window(
-    config: ProcessorConfig,
-    effective: ProcessorConfig,
-    trace: Trace,
-    start: int,
-    warmup: int,
-    measure: int,
-    snapshot: Dict[str, Any],
-    stats: StatsRegistry,
-    *,
-    probes: Sequence = (),
-    default_probes: bool = True,
-    force_per_cycle: bool = False,
-    max_cycles: Optional[int] = None,
-    progress=None,
-    progress_interval: int = 8192,
-) -> Dict[str, Any]:
-    """Simulate one detailed window from its boundary snapshot.
+@dataclass(frozen=True, slots=True)
+class _WindowJob:
+    """One sampled run's detailed windows, bound into the pool's task function.
 
-    Builds fresh warm structures against ``stats``, restores the
-    snapshot, and runs the window's pipeline over its trace slice.
-    Returns the scalars the parent needs for commit-watermark cycle
-    attribution; the caller owns how ``stats`` is aggregated (shared
-    registry when serial, per-window dump/merge when parallel).
+    Pool workers are forked with the job and reach the trace and
+    snapshots by inherited memory, so a task payload is just a window
+    index.  ``probes``, ``progress`` and ``tracer`` are live objects and
+    only set when the windows run in the parent.
     """
-    detailed = warmup + measure
-    segment_trace = trace.slice(start, start + detailed)
-    hierarchy, predictor, btb = warmstate.build_warm_structures(effective, stats)
-    warmstate.restore_warm_state(snapshot, hierarchy, predictor, btb)
-    pipeline = create_pipeline(
-        config, segment_trace, stats, probes=probes, default_probes=default_probes
-    )
-    pipeline.adopt_warm_state(hierarchy, predictor, btb)
-    result = pipeline.run(
-        max_cycles=max_cycles,
-        progress=progress,
-        progress_interval=progress_interval,
-        force_per_cycle=force_per_cycle,
-        commit_marks=[warmup] if warmup else None,
-    )
-    if warmup and pipeline.commit_mark_records:
-        _target, warm_cycle, warm_fetched = pipeline.commit_mark_records[0]
-    else:
-        warm_cycle, warm_fetched = 0, 0
-    return {
-        "cycles": result.cycles,
-        "fetched": result.fetched_instructions,
-        "warm_cycle": warm_cycle,
-        "warm_fetched": warm_fetched,
-    }
 
+    config: ProcessorConfig
+    effective: ProcessorConfig
+    trace: Trace
+    #: ``(start, warmup, measure)`` per window, and its boundary snapshot.
+    windows: Sequence[Tuple[int, int, int]]
+    snapshots: Sequence[Dict[str, Any]]
+    probes: Sequence = ()
+    default_probes: bool = True
+    force_per_cycle: bool = False
+    max_cycles: Optional[int] = None
+    progress: Any = None
+    progress_interval: int = 8192
+    injector: Any = None
+    tracer: Any = None
 
-#: Fork-inherited job description for the window worker pool.  Set by
-#: :func:`_run_windows_parallel` immediately before the pool forks its
-#: workers (the same pattern the sweep engine uses for worker traces),
-#: so task payloads stay a single window index.
-_WINDOW_JOB: Optional[Dict[str, Any]] = None
+    def run(self, index: int, attempt: int) -> Dict[str, Any]:
+        """Simulate window ``index`` from its boundary snapshot.
 
-
-def _window_worker(payload, attempt: int) -> Dict[str, Any]:
-    """Pool worker: simulate window ``payload`` and return its raw results.
-
-    Runs against a worker-local :class:`StatsRegistry` whose
-    ``dump_state()`` travels back with the cycle attribution; the parent
-    merges the dumps in window order, reproducing a shared registry
-    bit-exactly.
-    """
-    job = _WINDOW_JOB
-    if job is None:  # pragma: no cover - guards a mis-wired pool
-        raise SimulationError("window worker started without a job description")
-    index = int(payload)
-    injector = job.get("injector")
-    if injector is not None:
-        injector.crash_point(f"{job['trace'].name}:{index}:a{attempt}")
-    start, warmup, measure = job["windows"][index]
-    stats = StatsRegistry()
-    outcome = _execute_window(
-        job["config"],
-        job["effective"],
-        job["trace"],
-        start,
-        warmup,
-        measure,
-        job["snapshots"][index],
-        stats,
-        default_probes=job["default_probes"],
-        force_per_cycle=job["force_per_cycle"],
-        max_cycles=job["max_cycles"],
-    )
-    outcome["stats"] = stats.dump_state()
-    return outcome
-
-
-def _run_windows_parallel(
-    config: ProcessorConfig,
-    effective: ProcessorConfig,
-    trace: Trace,
-    window_segments: Sequence[Tuple[int, int, int]],
-    snapshots: Sequence[Dict[str, Any]],
-    jobs: int,
-    stats: StatsRegistry,
-    *,
-    default_probes: bool = True,
-    force_per_cycle: bool = False,
-    max_cycles: Optional[int] = None,
-    injector=None,
-    tracer=None,
-) -> List[Dict[str, Any]]:
-    """Fan the detailed windows out across a supervised worker pool.
-
-    Workers are forked after ``_WINDOW_JOB`` is published, inherit the
-    trace and snapshots by memory, and each return one window's scalars
-    plus a statistics dump.  Crashed or hung workers are respawned and
-    their windows retried (windows are deterministic, so a retry
-    reproduces the lost result exactly); a window that keeps failing
-    raises :class:`SimulationError`.  Returns the per-window outcome
-    dicts in window order after merging every dump into ``stats``.
-    """
-    global _WINDOW_JOB
-    from ..robustness.pool import ResilientPool
-
-    indices = list(range(len(window_segments)))
-    _WINDOW_JOB = {
-        "config": config,
-        "effective": effective,
-        "trace": trace,
-        "windows": list(window_segments),
-        "snapshots": list(snapshots),
-        "default_probes": default_probes,
-        "force_per_cycle": force_per_cycle,
-        "max_cycles": max_cycles,
-        "injector": injector,
-    }
-    try:
-        pool = ResilientPool(_window_worker, workers=min(jobs, len(indices)))
+        Runs against a window-local :class:`StatsRegistry` whose
+        ``dump_state()`` travels back with the scalars the parent needs
+        for commit-watermark cycle attribution; merging the dumps in
+        window order reproduces one shared registry bit-exactly.
+        """
+        if self.injector is not None:
+            self.injector.crash_point(f"{self.trace.name}:{index}:a{attempt}")
+        start, warmup, measure = self.windows[index]
         span = (
-            tracer.span(
-                "sampling:parallel-windows",
+            self.tracer.span(
+                "sampling:window",
                 category="sampling",
-                windows=len(indices),
-                workers=min(jobs, len(indices)),
+                start=start,
+                warmup=warmup,
+                instructions=warmup + measure,
             )
-            if tracer is not None
+            if self.tracer is not None
             else nullcontext()
         )
+        stats = StatsRegistry()
         with span:
-            pool_outcome = pool.run([(index, index, trace.name) for index in indices])
-    finally:
-        _WINDOW_JOB = None
-    if pool_outcome.failures:
-        failure = next(iter(pool_outcome.failures.values()))
-        raise SimulationError(
-            f"{len(pool_outcome.failures)} sampled window(s) failed in the "
-            f"worker pool (first: window {failure.task_id}: {failure.error})"
-        )
-    outcomes = [pool_outcome.results[index] for index in indices]
-    for outcome in outcomes:
-        stats.merge_state(outcome["stats"])
-    return outcomes
+            hierarchy, predictor, btb = warmstate.build_warm_structures(self.effective, stats)
+            warmstate.restore_warm_state(self.snapshots[index], hierarchy, predictor, btb)
+            pipeline = create_pipeline(
+                self.config,
+                self.trace.slice(start, start + warmup + measure),
+                stats,
+                probes=self.probes,
+                default_probes=self.default_probes,
+            )
+            pipeline.adopt_warm_state(hierarchy, predictor, btb)
+            result = pipeline.run(
+                max_cycles=self.max_cycles,
+                progress=self.progress,
+                progress_interval=self.progress_interval,
+                force_per_cycle=self.force_per_cycle,
+                commit_marks=[warmup] if warmup else None,
+            )
+        if warmup and pipeline.commit_mark_records:
+            _target, warm_cycle, warm_fetched = pipeline.commit_mark_records[0]
+        else:
+            warm_cycle, warm_fetched = 0, 0
+        return {
+            "cycles": result.cycles,
+            "fetched": result.fetched_instructions,
+            "warm_cycle": warm_cycle,
+            "warm_fetched": warm_fetched,
+            "stats": stats.dump_state(),
+        }
 
 
 def run_sampled(
@@ -633,11 +552,13 @@ def run_sampled(
     is one pipeline run); ``probes`` attach to every window's pipeline
     in turn.
 
-    ``parallel_windows=N`` (N > 1) fans the detailed windows out across
-    a supervised worker pool; the result is bit-identical to the serial
-    driver.  Window workers cannot carry probes or progress callbacks
-    across the process boundary, so combining them raises
+    ``parallel_windows=N`` (N > 1) runs the detailed windows on N pool
+    workers instead of in this process; the result is bit-identical.
+    Window workers cannot carry probes or progress callbacks across the
+    process boundary, so combining them raises
     :class:`ConfigurationError` rather than silently dropping observers.
+    A failed window raises :class:`SimulationError` naming the window
+    and its error, in either mode.
 
     ``checkpoint_dir`` persists (and reuses) the functional pass's
     boundary snapshots as a keyed :class:`WarmCheckpoint` file; see
@@ -703,63 +624,56 @@ def run_sampled(
             boundaries, (seg for seg in segments if seg[1] + seg[2])
         )
     ]
-    jobs = int(parallel_windows or 0)
-    use_parallel = jobs > 1 and len(window_segments) > 1
-    if use_parallel and (probes or progress is not None):
+    workers = min(int(parallel_windows or 1), len(window_segments))
+    in_parent = workers == 1
+    if not in_parent and (probes or progress is not None):
         raise ConfigurationError(
             "parallel sampled windows cannot carry probes or progress "
             "callbacks across worker processes; drop them or run with "
             "parallel_windows=1"
         )
-
-    if use_parallel:
-        outcomes = _run_windows_parallel(
-            config,
-            effective,
-            trace,
-            window_segments,
-            snapshots,
-            jobs,
-            stats,
-            default_probes=default_probes,
-            force_per_cycle=force_per_cycle,
-            max_cycles=max_cycles,
-            injector=injector,
-            tracer=tracer,
+    job = _WindowJob(
+        config,
+        effective,
+        trace,
+        window_segments,
+        snapshots,
+        probes=probes,
+        default_probes=default_probes,
+        force_per_cycle=force_per_cycle,
+        max_cycles=max_cycles,
+        progress=progress,
+        progress_interval=progress_interval,
+        injector=injector,
+        tracer=tracer if in_parent else None,
+    )
+    # A window that fails in the parent is deterministic and would only
+    # fail again; worker windows are retried (a crash is not the window's).
+    pool = ResilientPool(
+        job.run, workers, retry=RetryPolicy(max_attempts=1) if in_parent else None
+    )
+    span = (
+        tracer.span(
+            "sampling:parallel-windows",
+            category="sampling",
+            windows=len(window_segments),
+            workers=workers,
         )
-    else:
-        outcomes = []
-        for (start, warmup, measure), snapshot in zip(window_segments, snapshots):
-            window_span = (
-                tracer.span(
-                    "sampling:window",
-                    category="sampling",
-                    start=start,
-                    warmup=warmup,
-                    instructions=warmup + measure,
-                )
-                if tracer is not None
-                else nullcontext()
-            )
-            with window_span:
-                outcomes.append(
-                    _execute_window(
-                        config,
-                        effective,
-                        trace,
-                        start,
-                        warmup,
-                        measure,
-                        snapshot,
-                        stats,
-                        probes=probes,
-                        default_probes=default_probes,
-                        force_per_cycle=force_per_cycle,
-                        max_cycles=max_cycles,
-                        progress=progress,
-                        progress_interval=progress_interval,
-                    )
-                )
+        if tracer is not None and not in_parent
+        else nullcontext()
+    )
+    indices = range(len(window_segments))
+    with span:
+        pool_outcome = pool.run([(index, index, trace.name) for index in indices])
+    if pool_outcome.failures:
+        first = pool_outcome.failures[min(pool_outcome.failures)]
+        raise SimulationError(
+            f"{len(pool_outcome.failures)} sampled window(s) of {trace.name} failed "
+            f"(first: window {first.task_id}: {first.errors[-1]})"
+        )
+    outcomes = [pool_outcome.results[index] for index in indices]
+    for outcome in outcomes:
+        stats.merge_state(outcome["stats"])
 
     windows: List[Dict[str, object]] = []
     measured_cycles = 0

@@ -9,6 +9,7 @@ the paper's figure reports.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
@@ -25,7 +26,18 @@ from ..workloads.registry import get_suite
 #: large enough that windows of thousands of instructions can build up.
 DEFAULT_SCALE = 0.6
 
-_TRACE_CACHE: Dict[tuple, Dict[str, Trace]] = {}
+
+@functools.lru_cache(maxsize=None)
+def _member_trace(suite: str, scale: float, workload: str) -> Trace:
+    """One suite member's trace, built once per process.
+
+    Generation is deterministic (fixed seeds), so a trace built in a
+    pool worker equals the parent's.
+    """
+    for member in get_suite(suite):
+        if member.name == workload:
+            return member.build(scale)
+    raise KeyError(f"unknown workload {workload!r} in suite {suite!r}")
 
 
 def suite_traces(
@@ -33,14 +45,13 @@ def suite_traces(
     suite: str = "spec2000fp_like",
     workloads: Optional[Sequence[str]] = None,
 ) -> Dict[str, Trace]:
-    """Build (and cache) the traces of a suite at the given scale."""
-    key = (suite, round(scale, 6))
-    if key not in _TRACE_CACHE:
-        _TRACE_CACHE[key] = get_suite(suite).build(scale)
-    traces = _TRACE_CACHE[key]
-    if workloads is not None:
-        traces = {name: traces[name] for name in workloads}
-    return traces
+    """The traces of ``suite`` (or of its ``workloads``) at ``scale``.
+
+    Each member is built on first use and memoized per (suite, scale,
+    workload), so a filtered call builds only what it names.
+    """
+    names = get_suite(suite).names() if workloads is None else workloads
+    return {name: _member_trace(suite, scale, name) for name in names}
 
 
 def run_config(

@@ -11,11 +11,11 @@ infrastructure:
     configurations crossed with the workloads of a suite at a scale.
 
 :class:`SweepEngine`
-    Executes a spec either serially (``jobs=1``, bit-identical to the
-    pre-engine per-figure loops) or on a fault-tolerant process pool
-    (:class:`repro.robustness.ResilientPool`) with a configurable worker
-    count.  Results always come back in declared cell order regardless
-    of which worker finished first.
+    Executes a spec's uncached cells on a fault-tolerant pool
+    (:class:`repro.robustness.ResilientPool`), which runs them in the
+    parent when it would start a single worker (``jobs=1``) and on
+    worker processes otherwise.  Results always come back in declared
+    cell order regardless of which worker finished first.
 
 :class:`ResultCache`
     A persistent cache of finished cells, keyed by a stable content hash
@@ -28,13 +28,13 @@ The engine is additionally hardened on :mod:`repro.robustness` — all of
 it strictly opt-in (a plain ``SweepEngine(jobs, cache)`` takes none of
 these paths and produces bit-identical results and cache keys):
 
-* ``cell_timeout`` arms a per-cell wall-clock watchdog — SIGALRM in
-  serial runs, parent-side deadline kills in parallel ones;
+* ``cell_timeout`` arms a per-cell wall-clock watchdog — SIGALRM for
+  cells run in the parent, deadline kills for cells run on workers;
 * failed cells are retried under a :class:`~repro.robustness.RetryPolicy`
   and quarantined after the budget: the sweep *finishes*, reporting the
   holes in :attr:`SweepOutcome.failed_cells` instead of raising;
 * dead workers are detected and respawned, and the pool degrades to
-  serial in-parent execution when workers keep dying;
+  in-parent execution when workers keep dying;
 * a :class:`~repro.robustness.SweepJournal` records every finished cell
   durably, enabling ``resume=True`` (journaled cells are loaded from
   the cache, not re-simulated) and a clean Ctrl-C story: interruption
@@ -82,8 +82,7 @@ from ..common import eviction
 from ..common.config import ProcessorConfig, SamplingPlan
 from ..common.errors import SweepInterrupted
 from ..core.result import SimulationResult
-from ..robustness import FaultInjector, ResilientPool, RetryPolicy, SweepJournal, deadline
-from ..trace.trace import Trace
+from ..robustness import FaultInjector, ResilientPool, RetryPolicy, SweepJournal
 from ..workloads.registry import get_suite
 from .runner import DEFAULT_SCALE, suite_traces
 
@@ -382,148 +381,95 @@ class ResultCache:
 
 
 # ---------------------------------------------------------------------------
-# Worker-side execution
+# Cell execution
 # ---------------------------------------------------------------------------
 
-#: Per-worker-process trace cache: (suite, rounded scale) -> workload -> Trace.
-_WORKER_TRACES: Dict[Tuple[str, float], Dict[str, Trace]] = {}
-
-#: Per-worker-process handle on the persistent result cache (keyed by
-#: directory so a pool serving several engines keeps them distinct).
-_WORKER_CACHES: Dict[str, ResultCache] = {}
-
-#: Traces actually generated by this process's :func:`_worker_trace` (cache
-#: misses only).  Tests use it to assert that workload-major task ordering
-#: lets the per-worker cache hit instead of rebuilding every trace.
-TRACE_BUILDS = 0
+#: :class:`ResultCache` counters a worker's copy of the cache reports back.
+_CACHE_COUNTERS = (
+    "hits", "misses", "stores", "evictions", "evicted_bytes", "corrupt", "quarantined"
+)
 
 
-def _worker_trace(suite: str, scale: float, workload: str) -> Trace:
-    """Build (and cache per process) one workload's trace.
+@dataclass(frozen=True)
+class CellTask:
+    """One pending cell, as the pool runs it in the parent or on a worker.
 
-    Trace generation is deterministic (fixed seeds), so a trace built in
-    a worker is identical to one built in the parent.
+    A worker receives a pickled copy, so the ``cache`` and ``injector``
+    it touches are copies too; :func:`run_cell` reports their traffic
+    in its meta dict for the parent to fold back.
     """
-    global TRACE_BUILDS
-    key = (suite, round(scale, 6))
-    per_suite = _WORKER_TRACES.setdefault(key, {})
-    if workload not in per_suite:
-        for member in get_suite(suite):
-            if member.name == workload:
-                per_suite[workload] = member.build(scale)
-                TRACE_BUILDS += 1
-                break
-        else:
-            raise KeyError(f"unknown workload {workload!r} in suite {suite!r}")
-    return per_suite[workload]
+
+    config: ProcessorConfig
+    suite: str
+    scale: float
+    workload: str
+    sampling: Optional[SamplingPlan] = None
+    cache: Optional[ResultCache] = None
+    #: The cell's cache key (empty when the sweep computes none).
+    key: str = ""
+    injector: Optional[FaultInjector] = None
+    checkpoint_dir: Optional[str] = None
+    #: Window workers for a sampled cell (set only for in-parent cells).
+    sample_jobs: Optional[int] = None
+
+    @property
+    def name(self) -> str:
+        """``<config>x<workload>``: fault context and watchdog label."""
+        return f"{self.config.name or self.config.mode}x{self.workload}"
 
 
-def _worker_cache(cache_dir: str, max_bytes: Optional[int] = None) -> ResultCache:
-    """Per-process handle on the persistent cache at ``cache_dir``.
+def run_cell(task: CellTask, attempt: int) -> Tuple[SimulationResult, Dict[str, object]]:
+    """Pool task function: load the cell from the cache, else simulate it.
 
-    Workers keep their own :class:`ResultCache` instance (with its own
-    hit/miss counters) because cache objects don't travel across
-    ``fork``/``spawn`` usefully — the parent aggregates the per-cell
-    counter deltas reported back in each task's meta dict.
+    The cell looks its key up itself (another process may have finished
+    it since the parent's lookup) and stores a fresh result.  Fault
+    decisions use the context ``<name>:a<attempt>``, so a cell that
+    failed on one attempt draws fresh on the next.  Returns ``(result,
+    meta)``: the process id, the cell's wall-clock, whether it was a
+    cache hit, and the cache counters and faults recorded during the
+    cell, which the parent folds in when the cell ran elsewhere.
     """
-    if cache_dir not in _WORKER_CACHES:
-        _WORKER_CACHES[cache_dir] = ResultCache(cache_dir, max_bytes=max_bytes)
-    return _WORKER_CACHES[cache_dir]
-
-
-def _simulate_cell(
-    task: Tuple[object, ...]
-) -> Tuple[SimulationResult, Dict[str, object]]:
-    """Pool worker entry point: rebuild the config, build the trace, run.
-
-    ``task`` is ``(config_data, suite, scale, workload, sampling_data)``
-    optionally extended with ``(cache_dir, cache_key)``, further with
-    ``(fault_plan_data, fault_context)``, further with
-    ``(checkpoint_dir, cache_max_bytes)``, and finally with
-    ``(attempt,)``.  When the cache
-    fields are present the worker checks the persistent cache itself
-    (another process may have finished the cell since the parent's
-    lookup) and stores fresh results — keeping the store off the
-    parent's collection loop.  When a fault plan rides along, an
-    injector is rebuilt from it and offered every worker-side site; the
-    decision context carries the attempt number (``...:aN``), so a cell
-    that crashed on one attempt draws fresh on the next.  Returns
-    ``(result, meta)`` where ``meta`` reports the worker's pid, per-cell
-    wall-clock, whether the cell was a worker-side cache hit, and any
-    faults fired, so the parent can aggregate counters and reconstruct
-    per-worker utilization.
-    """
-    config_data, suite, scale, workload, sampling_data = task[:5]
-    cache_dir = str(task[5]) if len(task) > 5 and task[5] else None
-    cache_key = str(task[6]) if len(task) > 6 and task[6] else None
-    plan_data = task[7] if len(task) > 7 else None
-    fault_context = str(task[8]) if len(task) > 8 and task[8] else f"{suite}:{workload}"
-    checkpoint_dir = str(task[9]) if len(task) > 9 and task[9] else None
-    cache_max_bytes = int(task[10]) if len(task) > 10 and task[10] is not None else None  # type: ignore[arg-type]
-    attempt = int(task[11]) if len(task) > 11 else 0  # type: ignore[arg-type]
-    injector = (
-        FaultInjector.from_dict(plan_data)  # type: ignore[arg-type]
-        if plan_data
-        else None
-    )
-    context = f"{fault_context}:a{attempt}"
+    context = f"{task.name}:a{attempt}"
     started = time.perf_counter()
-    cache = _worker_cache(cache_dir, cache_max_bytes) if cache_dir and cache_key else None
-    evictions_before = cache.evictions if cache is not None else 0
+    cache, injector = task.cache, task.injector
+    counters = [getattr(cache, name) for name in _CACHE_COUNTERS] if cache is not None else []
+    fired = len(injector.fired) if injector is not None else 0
     if injector is not None:
         injector.crash_point(context)
-    result: Optional[SimulationResult] = None
-    cache_hit = False
-    try:
-        if cache is not None and injector is not None:
-            cache.injector = injector
-            cache.fault_context = context
-        if cache is not None and cache_key is not None:
-            result = cache.load(cache_key)
-            cache_hit = result is not None
-        if result is None:
-            config = ProcessorConfig.from_dict(config_data)  # type: ignore[arg-type]
-            sampling = SamplingPlan.from_dict(sampling_data) if sampling_data else None
-            if injector is not None:
-                injector.hang_point(context)
-            trace = _worker_trace(suite, scale, workload)
-            probes: Tuple[object, ...] = ()
-            if injector is not None:
-                probe = injector.simulate_error_probe(context)
-                if probe is not None:
-                    probes = (probe,)
-            result = Simulation(
-                config,
-                sampling=sampling,
-                probes=probes,
-                checkpoint_dir=checkpoint_dir if sampling is not None else None,
-            ).run(trace)
-            if cache is not None and cache_key is not None:
-                cache.store(cache_key, result)
-    finally:
-        if cache is not None and injector is not None:
-            cache.injector = None
-            cache.fault_context = ""
+    result = cache.load(task.key) if cache is not None else None
+    hit = result is not None
+    if result is None:
+        probe = None
+        if injector is not None:
+            injector.hang_point(context)
+            probe = injector.simulate_error_probe(context)
+        trace = suite_traces(task.scale, task.suite, (task.workload,))[task.workload]
+        result = Simulation(
+            task.config,
+            sampling=task.sampling,
+            probes=(probe,) if probe is not None else (),
+            # Probes cannot cross window-worker processes.
+            sample_jobs=task.sample_jobs if probe is None else None,
+            checkpoint_dir=task.checkpoint_dir,
+        ).run(trace)
+        if cache is not None:
+            # Lend the injector: its store-crash and corrupt sites fire here.
+            cache.injector, cache.fault_context = injector, context
+            try:
+                cache.store(task.key, result)
+            finally:
+                cache.injector, cache.fault_context = None, ""
     meta: Dict[str, object] = {
         "pid": os.getpid(),
         "elapsed": time.perf_counter() - started,
-        "cache_hit": cache_hit,
-        "stored": cache is not None and not cache_hit,
-        "evictions": (cache.evictions - evictions_before) if cache is not None else 0,
+        "cache_hit": hit,
+        "cache": {
+            name: getattr(cache, name) - before
+            for name, before in zip(_CACHE_COUNTERS, counters)
+        },
+        "faults": injector.fired[fired:] if injector is not None else [],
     }
-    if injector is not None and injector.fired:
-        meta["faults"] = list(injector.fired)
     return result, meta
-
-
-def _cell_with_attempt(
-    task: Tuple[object, ...], attempt: int
-) -> Tuple[SimulationResult, Dict[str, object]]:
-    """Resilient-pool adapter: pad the task tuple and append the attempt."""
-    padded = tuple(task)
-    if len(padded) < 11:
-        padded = padded + (None,) * (11 - len(padded))
-    return _simulate_cell(padded + (attempt,))
 
 
 def _workload_major(
@@ -535,7 +481,8 @@ def _workload_major(
 
     Specs enumerate config-major, which hands a round-robin pool one
     cell of *every* workload — each worker then rebuilds each trace
-    instead of hitting its per-process ``_WORKER_TRACES`` cache.
+    instead of hitting its per-process trace memo
+    (:func:`~repro.experiments.runner.suite_traces`).
     Grouping all configs of one workload together (stable, so config
     order within a workload is preserved) makes consecutive tasks share
     a trace; results still land in declared order via ``cell.index``.
@@ -589,8 +536,8 @@ class SweepOutcome:
     #: Entries LRU-evicted from a size-capped cache during this sweep
     #: (parent- and worker-side stores combined).
     cache_evictions: int = 0
-    #: Sum of per-cell worker wall-clock (parallel runs only); divided by
-    #: ``elapsed * workers`` this is the pool utilization.
+    #: Sum of per-cell wall-clock; divided by ``elapsed * workers`` this
+    #: is the pool utilization.
     worker_busy: float = 0.0
     #: One dict per quarantined cell: ``{"index", "config", "workload",
     #: "key", "attempts", "errors"}`` — the partial-result report.
@@ -603,7 +550,7 @@ class SweepOutcome:
     worker_deaths: int = 0
     #: Cells killed by the per-cell wall-clock watchdog.
     timeouts: int = 0
-    #: True when the pool gave up on workers and finished serially.
+    #: True when the pool gave up on workers and finished in the parent.
     degraded: bool = False
     _by_config: Dict[str, Dict[str, SimulationResult]] = field(default_factory=dict)
 
@@ -642,13 +589,12 @@ class SweepOutcome:
 class SweepEngine:
     """Executes :class:`SweepSpec`s, optionally in parallel and cached.
 
-    Every cell executes through :class:`repro.api.Simulation` (the
-    unified facade).  ``jobs=1`` runs in-process with the same trace
-    cache and per-config reuse as the original figure loops, so its
-    output is bit-identical to the pre-engine implementation.  ``jobs>1`` fans the
-    uncached cells out over a fault-tolerant process pool; because the
-    simulator is deterministic pure Python, parallel results equal
-    serial ones.  ``jobs=None`` uses every available CPU.
+    Every uncached cell runs :func:`run_cell` (through
+    :class:`repro.api.Simulation`, the unified facade) on a
+    fault-tolerant :class:`~repro.robustness.ResilientPool` of
+    ``min(jobs, cells)`` workers, which runs in-process when that is
+    one.  The simulator is deterministic pure Python, so results do not
+    depend on ``jobs``.  ``jobs=None`` uses every available CPU.
 
     The keyword-only robustness knobs live on the engine, not the spec,
     because none of them may influence a cell's identity (cache keys
@@ -656,7 +602,7 @@ class SweepEngine:
     bounds re-attempts before quarantine, ``journal`` records durable
     progress for ``resume=True``, ``injector`` drives deterministic
     chaos, and ``max_worker_deaths`` caps pool rebuilds before the
-    engine degrades to serial execution.  All default to off.
+    engine degrades to in-parent execution.  All default to off.
     """
 
     def __init__(
@@ -694,7 +640,7 @@ class SweepEngine:
         #: robustness knobs because they may not influence cell identity
         #: — cache keys are byte-identical with or without them.
         #: ``sample_jobs`` fans each sampled cell's detailed windows over
-        #: worker processes (applied on the serial engine path only;
+        #: worker processes (applied to cells run in the parent only;
         #: parallel sweeps already saturate the machine with cells), and
         #: ``checkpoint_dir`` lets every cell sharing warm-relevant
         #: parameters reuse one functional warm-up pass.
@@ -745,24 +691,6 @@ class SweepEngine:
         if self.journal is not None:
             self.journal.append(record)
 
-    def _store_result(self, key: str, result: SimulationResult, context: str) -> None:
-        """Store through the cache, lending it the engine's injector.
-
-        ``context`` carries the attempt number, so an injected store
-        crash is transient — the retry draws fresh and lands the entry.
-        """
-        if self.cache is None:
-            return
-        if self.injector is not None:
-            self.cache.injector = self.injector
-            self.cache.fault_context = context
-        try:
-            self.cache.store(key, result)
-        finally:
-            if self.injector is not None:
-                self.cache.injector = None
-                self.cache.fault_context = ""
-
     def _quarantine_cell(
         self, cell: SweepCell, key: str, attempts: int, errors: List[str], rstats: Dict
     ) -> None:
@@ -786,112 +714,7 @@ class SweepEngine:
             }
         )
 
-    def _run_serial(
-        self,
-        spec: SweepSpec,
-        cells: Sequence[SweepCell],
-        slots: List[Optional[SimulationResult]],
-        keys: Sequence[str],
-        rstats: Dict[str, object],
-    ) -> None:
-        from ..common.errors import CellTimeoutError
-
-        with self._span("sweep:trace-build", category="sweep", suite=spec.suite):
-            traces = suite_traces(spec.scale, spec.suite, spec.workloads)
-        done = sum(1 for slot in slots if slot is not None)
-        simulation: Optional[Simulation] = None
-        simulation_config: Optional[ProcessorConfig] = None
-        for cell in cells:
-            if slots[cell.index] is not None:
-                continue
-            if simulation is None or simulation_config is not cell.config:
-                simulation = Simulation(
-                    cell.config,
-                    sampling=spec.sampling,
-                    sample_jobs=self.sample_jobs if spec.sampling is not None else None,
-                    checkpoint_dir=(
-                        self.checkpoint_dir if spec.sampling is not None else None
-                    ),
-                )
-                simulation_config = cell.config
-            config_name = cell.config.name or cell.config.mode
-            attempts = 0
-            errors: List[str] = []
-            while True:
-                context = f"{config_name}x{cell.workload}:a{attempts}"
-                active = simulation
-                if self.injector is not None:
-                    probe = self.injector.simulate_error_probe(context)
-                    if probe is not None:
-                        # A probed run needs its own facade; the shared
-                        # per-config one must stay probe-free.  Probes
-                        # cannot cross window-worker processes, so the
-                        # probed facade drops sample_jobs (never the
-                        # checkpoint reuse, which is parent-side).
-                        active = Simulation(
-                            cell.config,
-                            sampling=spec.sampling,
-                            probes=(probe,),
-                            checkpoint_dir=(
-                                self.checkpoint_dir
-                                if spec.sampling is not None
-                                else None
-                            ),
-                        )
-                try:
-                    with self._span(
-                        f"cell:{config_name}x{cell.workload}",
-                        category="cell",
-                        workload=cell.workload,
-                    ):
-                        with deadline(
-                            self.cell_timeout, label=f"cell {config_name}x{cell.workload}"
-                        ):
-                            result = active.run(traces[cell.workload])
-                    self._store_result(keys[cell.index], result, context)
-                except Exception as exc:  # noqa: BLE001 - retried/quarantined
-                    attempts += 1
-                    errors.append(f"{type(exc).__name__}: {exc}")
-                    if isinstance(exc, CellTimeoutError):
-                        rstats["timeouts"] += 1  # type: ignore[operator]
-                    self._journal_append(
-                        {
-                            "event": "cell-failed",
-                            "index": cell.index,
-                            "key": keys[cell.index],
-                            "attempt": attempts,
-                            "error": errors[-1],
-                        }
-                    )
-                    if self.retry.allows(attempts):
-                        rstats["retries"] += 1  # type: ignore[operator]
-                        time.sleep(self.retry.backoff(attempts))
-                        continue
-                    self._quarantine_cell(
-                        cell, keys[cell.index], attempts, errors, rstats
-                    )
-                    self._report(
-                        done, len(cells), cell, f"quarantined after {attempts} attempt(s)"
-                    )
-                    break
-                slots[cell.index] = result
-                done += 1
-                self._journal_append(
-                    {
-                        "event": "cell-done",
-                        "index": cell.index,
-                        "key": keys[cell.index],
-                        "workload": cell.workload,
-                        "config": config_name,
-                        "source": "simulated",
-                    }
-                )
-                self._report(done, len(cells), cell, f"simulated ipc={result.ipc:.4f}")
-                if self.injector is not None:
-                    self.injector.sigint_point(f"collect:{done}")
-                break
-
-    def _run_parallel(
+    def _run_pool(
         self,
         spec: SweepSpec,
         cells: Sequence[SweepCell],
@@ -899,68 +722,63 @@ class SweepEngine:
         keys: Sequence[str],
         rstats: Dict[str, object],
     ) -> Dict[str, float]:
+        """Run the uncached cells on the pool; returns the cells' own
+        cache ``hits`` and summed wall-clock (``busy``)."""
         pending = _workload_major(cells, slots, spec)
-        sampling_data = spec.sampling.to_dict() if spec.sampling is not None else None
-        cache_dir = str(self.cache.cache_dir) if self.cache is not None else None
-        plan_data = self.injector.to_dict() if self.injector is not None else None
+        workers = min(self.jobs, len(pending))
+        sampled = spec.sampling is not None
+        checkpoint_dir = (
+            str(self.checkpoint_dir) if sampled and self.checkpoint_dir is not None else None
+        )
+        # Window workers only for cells run in the parent: worker cells
+        # already keep every CPU busy.
+        sample_jobs = self.sample_jobs if sampled and workers == 1 else None
         by_index = {cell.index: cell for cell in pending}
         tasks = []
         for cell in pending:
-            config_name = cell.config.name or cell.config.mode
-            fault_context = f"{config_name}x{cell.workload}"
-            payload = (
-                cell.config.to_dict(),
+            task = CellTask(
+                cell.config,
                 spec.suite,
                 spec.scale,
                 cell.workload,
-                sampling_data,
-                cache_dir,
-                keys[cell.index] if cache_dir is not None else None,
-                plan_data,
-                fault_context,
-                str(self.checkpoint_dir) if self.checkpoint_dir is not None else None,
-                self.cache.max_bytes if self.cache is not None else None,
+                spec.sampling,
+                self.cache,
+                keys[cell.index],
+                self.injector,
+                checkpoint_dir,
+                sample_jobs,
             )
-            tasks.append((cell.index, payload, fault_context))
-        workers = min(self.jobs, len(pending))
-        chunksize = _locality_chunksize(pending, workers)
-        stats = {"hits": 0.0, "misses": 0.0, "stores": 0.0, "busy": 0.0, "evictions": 0.0}
+            tasks.append((cell.index, task, task.name))
+        stats = {"hits": 0.0, "busy": 0.0}
         tracer = self.telemetry.tracer if self.telemetry is not None else None
         base = tracer.clock.now() if tracer is not None else 0.0
         worker_tids: Dict[object, int] = {}
         worker_offsets: Dict[int, float] = {}
-        done_box = {"done": sum(1 for slot in slots if slot is not None)}
+        parent_pid = os.getpid()
+        done = sum(1 for slot in slots if slot is not None)
 
         def on_event(kind: str, **info) -> None:
+            nonlocal done
             if kind == "result":
                 index = info["task_id"]
                 result, meta = info["value"]
                 cell = by_index[index]
                 slots[index] = result
-                hit = bool(meta.get("cache_hit"))
-                elapsed = float(meta.get("elapsed", 0.0))  # type: ignore[arg-type]
+                hit = bool(meta["cache_hit"])
+                elapsed = float(meta["elapsed"])  # type: ignore[arg-type]
                 stats["busy"] += elapsed
-                if self.cache is not None:
-                    # Fold the worker-side cache traffic back into the
-                    # parent's counters; without this, hits and stores
-                    # observed inside the pool were silently dropped.
-                    if hit:
-                        stats["hits"] += 1
-                        self.cache.hits += 1
-                    else:
-                        stats["misses"] += 1
-                        self.cache.misses += 1
-                    if meta.get("stored"):
-                        stats["stores"] += 1
-                        self.cache.stores += 1
-                    evicted = int(meta.get("evictions") or 0)  # type: ignore[arg-type]
-                    if evicted:
-                        stats["evictions"] += evicted
-                        self.cache.evictions += evicted
-                rstats["faults"] += len(meta.get("faults") or ())  # type: ignore[operator]
+                stats["hits"] += hit
+                if meta["pid"] != parent_pid:
+                    # The cell ran on a worker's copies of the cache and
+                    # injector: fold their traffic into the real ones.
+                    if self.cache is not None:
+                        for name, delta in meta["cache"].items():  # type: ignore[attr-defined]
+                            setattr(self.cache, name, getattr(self.cache, name) + delta)
+                    if self.injector is not None:
+                        self.injector.fired.extend(meta["faults"])  # type: ignore[arg-type]
                 config_name = cell.config.name or cell.config.mode
                 if tracer is not None:
-                    tid = worker_tids.setdefault(meta.get("pid"), len(worker_tids) + 1)
+                    tid = worker_tids.setdefault(meta["pid"], len(worker_tids) + 1)
                     start = base + worker_offsets.get(tid, 0.0)
                     worker_offsets[tid] = worker_offsets.get(tid, 0.0) + elapsed
                     tracer.add_span(
@@ -972,7 +790,7 @@ class SweepEngine:
                         workload=cell.workload,
                         cached=hit,
                     )
-                done_box["done"] += 1
+                done += 1
                 self._journal_append(
                     {
                         "event": "cell-done",
@@ -983,10 +801,10 @@ class SweepEngine:
                         "source": "cache" if hit else "simulated",
                     }
                 )
-                source = "cache hit (worker)" if hit else f"simulated ipc={result.ipc:.4f}"
-                self._report(done_box["done"], len(cells), cell, source)
+                source = "cache hit (cell lookup)" if hit else f"simulated ipc={result.ipc:.4f}"
+                self._report(done, len(cells), cell, source)
                 if self.injector is not None and not info.get("drained"):
-                    self.injector.sigint_point(f"collect:{done_box['done']}")
+                    self.injector.sigint_point(f"collect:{done}")
             elif kind == "task-error":
                 cell = by_index[info["task_id"]]
                 self._journal_append(
@@ -1008,10 +826,7 @@ class SweepEngine:
                     rstats,
                 )
                 self._report(
-                    done_box["done"],
-                    len(cells),
-                    cell,
-                    f"quarantined after {info['attempts']} attempt(s)",
+                    done, len(cells), cell, f"quarantined after {info['attempts']} attempt(s)"
                 )
             elif kind == "worker-death" and self.progress is not None:
                 self.progress(
@@ -1021,11 +836,11 @@ class SweepEngine:
             elif kind == "degrade" and self.progress is not None:
                 self.progress(
                     f"pool kept dying; finishing {info.get('remaining')} "
-                    "cell(s) serially in-parent"
+                    "cell(s) in the parent"
                 )
 
         pool = ResilientPool(
-            _cell_with_attempt,
+            run_cell,
             workers,
             cell_timeout=self.cell_timeout,
             retry=self.retry,
@@ -1033,13 +848,13 @@ class SweepEngine:
             on_event=on_event,
         )
         pool_started = time.perf_counter()
-        pool_outcome = pool.run(tasks, chunksize=chunksize)
+        pool_outcome = pool.run(tasks, chunksize=_locality_chunksize(pending, workers))
         pool_elapsed = time.perf_counter() - pool_started
         rstats["retries"] += pool_outcome.retries  # type: ignore[operator]
         rstats["timeouts"] += pool_outcome.timeouts  # type: ignore[operator]
         rstats["worker_deaths"] += pool_outcome.worker_deaths  # type: ignore[operator]
         rstats["degraded"] = bool(rstats["degraded"]) or pool_outcome.degraded
-        if self.telemetry is not None and workers > 0 and pool_elapsed > 0:
+        if self.telemetry is not None and pool_elapsed > 0:
             metrics = self.telemetry.metrics
             metrics.gauge("sweep.workers").set(float(workers))
             metrics.gauge("sweep.worker_utilization").set(
@@ -1096,7 +911,6 @@ class SweepEngine:
             "worker_deaths": 0,
             "degraded": False,
             "failed": [],
-            "faults": 0,
         }
         with self._span(
             f"sweep:{spec.name}", category="sweep", cells=len(cells), jobs=self.jobs
@@ -1137,20 +951,11 @@ class SweepEngine:
                             "source": "cache",
                         }
                     )
-            worker_stats = {
-                "hits": 0.0,
-                "misses": 0.0,
-                "stores": 0.0,
-                "busy": 0.0,
-                "evictions": 0.0,
-            }
+            pool_stats = {"hits": 0.0, "busy": 0.0}
             evictions_before = self.cache.evictions if self.cache is not None else 0
             try:
                 if cached < len(cells):
-                    if self.jobs > 1:
-                        worker_stats = self._run_parallel(spec, cells, slots, keys, rstats)
-                    else:
-                        self._run_serial(spec, cells, slots, keys, rstats)
+                    pool_stats = self._run_pool(spec, cells, slots, keys, rstats)
             except KeyboardInterrupt:
                 completed = sum(1 for slot in slots if slot is not None)
                 pending = len(cells) - completed
@@ -1175,8 +980,7 @@ class SweepEngine:
         ]
         if lost:  # pragma: no cover - defensive
             raise RuntimeError(f"sweep {spec.name!r} lost {len(lost)} cells")
-        worker_hits = int(worker_stats["hits"])
-        cached += worker_hits
+        cached += int(pool_stats["hits"])
         simulated = len(cells) - cached - len(failed_indexes)
         self.total_simulated += simulated
         self.total_cached += cached
@@ -1187,9 +991,7 @@ class SweepEngine:
         cache_evictions = (
             self.cache.evictions - evictions_before if self.cache is not None else 0
         )
-        fault_count = int(rstats["faults"])  # type: ignore[arg-type]
-        if self.injector is not None:
-            fault_count += len(self.injector.fired)
+        fault_count = len(self.injector.fired) if self.injector is not None else 0
         if self.telemetry is not None:
             metrics = self.telemetry.metrics
             metrics.counter("sweep.cells_simulated").add(simulated)
@@ -1229,7 +1031,7 @@ class SweepEngine:
             cache_hits=cache_hits,
             cache_misses=cache_misses,
             cache_evictions=cache_evictions,
-            worker_busy=worker_stats["busy"],
+            worker_busy=pool_stats["busy"],
             failed_cells=failed,
             retries=int(rstats["retries"]),  # type: ignore[arg-type]
             resumed=resumed,

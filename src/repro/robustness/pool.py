@@ -16,9 +16,12 @@ workers:
   (capped deterministic backoff, no parent-blocking sleeps) and
   quarantine after the budget — the pool finishes everything it can
   and reports the rest, it never raises for a poison task;
+* an in-parent mode: a pool that would start a single worker runs its
+  tasks in the calling process instead, under a SIGALRM watchdog, with
+  the same retry, quarantine and events — so serial callers share this
+  one loop;
 * graceful degradation: when workers keep dying (``max_worker_deaths``)
-  the pool stops respawning and runs the remainder serially in the
-  parent under a SIGALRM watchdog;
+  the pool stops respawning and finishes the remainder in-parent;
 * KeyboardInterrupt stops dispatch, drains in-flight tasks for a grace
   period (their results are delivered through ``on_event`` like any
   other), tears the pool down, and re-raises for the caller to wrap.
@@ -45,6 +48,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..common.errors import CellTimeoutError
 from .faults import mark_worker
 from .retry import RetryPolicy
 from .watchdog import deadline
@@ -97,6 +101,11 @@ class _TaskState:
     attempts: int = 0
     errors: List[str] = field(default_factory=list)
     ready_at: float = 0.0  #: monotonic time before which it must not run
+
+
+def _label(state: _TaskState) -> str:
+    """How watchdog errors name a task: by its group, else its id."""
+    return f"cell {state.group or state.task_id}"
 
 
 @dataclass
@@ -211,35 +220,37 @@ class ResilientPool:
         self, tasks: Sequence[Tuple[object, object, str]], chunksize: int = 1
     ) -> PoolOutcome:
         """Execute ``(task_id, payload, group)`` tasks; never raises for a
-        task failure — only for ``KeyboardInterrupt`` (after draining)."""
+        task failure — only for ``KeyboardInterrupt`` (after draining).
+
+        A run that would start a single worker (one task, or
+        ``workers=1``) runs every task in this process instead.
+        """
         outcome = PoolOutcome()
         states = {
             task_id: _TaskState(task_id, payload, group)
             for task_id, payload, group in tasks
         }
         order = [task_id for task_id, _payload, _group in tasks]
-        if not states:
-            return outcome
-        pool: List[_Worker] = []
-        try:
-            pool = [
-                _Worker(self._context, self.fn)
-                for _ in range(min(self.workers, len(states)))
-            ]
-            self._seed_queues(pool, order, max(1, chunksize))
-            self._supervise(pool, states, outcome)
-        except KeyboardInterrupt:
-            self._drain(pool, states, outcome)
-            raise
-        finally:
-            for worker in pool:
-                worker.close()
-        if outcome.degraded:
+        workers = min(self.workers, len(states))
+        if workers > 1:
+            pool: List[_Worker] = []
+            try:
+                pool = [_Worker(self._context, self.fn) for _ in range(workers)]
+                self._seed_queues(pool, order, max(1, chunksize))
+                self._supervise(pool, states, outcome)
+            except KeyboardInterrupt:
+                self._drain(pool, states, outcome)
+                raise
+            finally:
+                for worker in pool:
+                    worker.close()
+            if not outcome.degraded:
+                return outcome
             self._emit(
                 "degrade",
                 remaining=len(states) - len(outcome.results) - len(outcome.failures),
             )
-            self._run_serial(states, outcome)
+        self._run_in_parent(states, outcome)
         return outcome
 
     @staticmethod
@@ -341,8 +352,8 @@ class ResilientPool:
                     self._respawn(worker, pool)
                     self._attempt_failed(
                         task_id,
-                        f"CellTimeoutError: exceeded the {self.cell_timeout:g}s "
-                        f"per-cell watchdog",
+                        f"CellTimeoutError: {_label(states[task_id])} exceeded "
+                        f"its {self.cell_timeout:g}s wall-clock watchdog",
                         pool,
                         states,
                         outcome,
@@ -363,7 +374,7 @@ class ResilientPool:
         worker.current = None
         if outcome.worker_deaths >= self.max_worker_deaths:
             outcome.degraded = True
-            if task_id is not None:  # rerun it serially with the rest
+            if task_id is not None:  # rerun it in the parent with the rest
                 states[task_id].ready_at = 0.0
                 worker.queue.appendleft(task_id)
             return
@@ -414,36 +425,31 @@ class ResilientPool:
                 errors=list(state.errors),
             )
 
-    # -- degraded serial execution --------------------------------------------
-    def _run_serial(self, states, outcome: PoolOutcome) -> None:
-        """Finish the remainder in-parent: watchdogged, retried, quarantined."""
-        remaining = [
-            state
-            for task_id, state in states.items()
-            if task_id not in outcome.results and task_id not in outcome.failures
-        ]
-        for state in remaining:
-            while True:
+    # -- in-parent execution ----------------------------------------------------
+    def _run_in_parent(self, states, outcome: PoolOutcome) -> None:
+        """Run every unfinished task here: watchdogged by SIGALRM, retried
+        and quarantined exactly as a worker's attempts are."""
+        for state in states.values():
+            task_id = state.task_id
+            while task_id not in outcome.results and task_id not in outcome.failures:
                 try:
-                    with deadline(self.cell_timeout, label=f"cell {state.task_id}"):
+                    with deadline(self.cell_timeout, label=_label(state)):
                         value = self.fn(state.payload, state.attempts)
-                except KeyboardInterrupt:
-                    raise
                 except Exception as exc:  # noqa: BLE001 - incl. CellTimeoutError
+                    if isinstance(exc, CellTimeoutError):
+                        if not self.cell_timeout or self.cell_timeout <= 0:
+                            raise  # an enclosing watchdog's, not this task's
+                        outcome.timeouts += 1
+                        self._emit("timeout", task_id=task_id, seconds=self.cell_timeout)
                     error = f"{type(exc).__name__}: {exc}"
-                    self._attempt_failed(state.task_id, error, [], states, outcome)
-                    if state.task_id in outcome.failures:
-                        break
-                    self._sleep(self.retry.backoff(state.attempts))
+                    self._attempt_failed(task_id, error, [], states, outcome)
+                    if task_id not in outcome.failures:
+                        self._sleep(self.retry.backoff(state.attempts))
                 else:
-                    outcome.results[state.task_id] = value
+                    outcome.results[task_id] = value
                     self._emit(
-                        "result",
-                        task_id=state.task_id,
-                        value=value,
-                        attempt=state.attempts,
+                        "result", task_id=task_id, value=value, attempt=state.attempts
                     )
-                    break
 
     # -- Ctrl-C drain ---------------------------------------------------------
     def _drain(self, pool: List[_Worker], states, outcome: PoolOutcome) -> None:

@@ -21,6 +21,11 @@ from typing import Iterator, Optional
 
 from ..common.errors import CellTimeoutError
 
+#: How often an expired deadline fires again.  A raise that lands inside
+#: a finalizer is swallowed by the interpreter, so a hung block needs a
+#: second chance; a block that unwinds normally is gone long before it.
+REFIRE_SECONDS = 1.0
+
 
 def watchdog_available() -> bool:
     """True when :func:`deadline` can actually arm a timer here."""
@@ -38,21 +43,29 @@ def deadline(seconds: Optional[float], label: str = "cell") -> Iterator[bool]:
     Yields True when a timer is armed, False when the watchdog is
     unavailable (or ``seconds`` is None/non-positive) and the block runs
     unbounded.  On expiry the block is interrupted with
-    :class:`CellTimeoutError`.
+    :class:`CellTimeoutError`; a block that outran its budget but
+    finished because the interrupt was swallowed raises it on exit.
     """
     if seconds is None or seconds <= 0 or not watchdog_available():
         yield False
         return
+    message = f"{label} exceeded its {seconds:g}s wall-clock watchdog"
+    armed = True
+    expired = False
 
     def _expired(signum, frame):
-        raise CellTimeoutError(
-            f"{label} exceeded its {seconds:g}s wall-clock watchdog"
-        )
+        nonlocal expired
+        if armed:
+            expired = True
+            raise CellTimeoutError(message)
 
     previous = signal.signal(signal.SIGALRM, _expired)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
+        signal.setitimer(signal.ITIMER_REAL, seconds, max(seconds, REFIRE_SECONDS))
         yield True
     finally:
+        armed = False
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+    if expired:
+        raise CellTimeoutError(message)

@@ -50,7 +50,6 @@ class TestRuleFixtures:
         "RPR301": "core/missing_slots.py",
         "RPR302": "core/missing_slots.py",
         "RPR401": "core/lazy_probe.py",
-        "RPR501": "uses_shim.py",
         "RPR601": "experiments/fragile_io.py",
         "RPR602": "experiments/fragile_io.py",
     }
@@ -81,8 +80,6 @@ class TestRuleFixtures:
         assert len(by_rule["RPR102"]) == 3
         # uses_set_order: list() call + list comprehension.
         assert len(by_rule["RPR104"]) == 2
-        # uses_shim: Processor and build_pipeline imports.
-        assert len(by_rule["RPR501"]) == 2
 
     def test_good_root_is_clean(self):
         report = run_lint(GOOD)

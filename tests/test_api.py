@@ -1,4 +1,4 @@
-"""Tests for the unified facade: registry, probes, Simulation, shims."""
+"""Tests for the unified facade: registry, probes, Simulation."""
 
 from __future__ import annotations
 
@@ -7,9 +7,8 @@ import pytest
 from repro import api
 from repro.common.config import ProcessorConfig, cooo_config, scaled_baseline
 from repro.common.errors import ConfigurationError
-from repro.core.pipeline import BaselinePipeline, OoOCommitPipeline, build_pipeline
+from repro.core.pipeline import BaselinePipeline, OoOCommitPipeline
 from repro.core.probes import PROBE_EVENTS, CallbackProbe, OccupancyProbe, Probe
-from repro.core.processor import Processor, simulate
 from repro.core.registry_machines import (
     create_pipeline,
     get_machine,
@@ -345,33 +344,6 @@ class TestSimulationFacade:
                 traces={"daxpy": small_daxpy_trace},
                 jobs=2,
             )
-
-
-class TestDeprecationShims:
-    def test_build_pipeline_warns_and_works(self, fast_baseline_config, small_daxpy_trace):
-        with pytest.warns(DeprecationWarning, match="build_pipeline"):
-            pipeline = build_pipeline(fast_baseline_config, small_daxpy_trace)
-        assert isinstance(pipeline, BaselinePipeline)
-        assert pipeline.run().committed_instructions == len(small_daxpy_trace)
-
-    def test_processor_run_warns_and_matches_api(
-        self, fast_baseline_config, small_daxpy_trace
-    ):
-        with pytest.warns(DeprecationWarning, match="Processor.run"):
-            shimmed = Processor(fast_baseline_config).run(small_daxpy_trace)
-        assert shimmed.to_dict() == api.run(fast_baseline_config, small_daxpy_trace).to_dict()
-
-    def test_processor_run_suite_warns(self, fast_baseline_config, small_daxpy_trace):
-        with pytest.warns(DeprecationWarning, match="run_suite"):
-            results = Processor(fast_baseline_config).run_suite(
-                {"daxpy": small_daxpy_trace}
-            )
-        assert results["daxpy"].committed_instructions == len(small_daxpy_trace)
-
-    def test_simulate_warns_and_matches_api(self, fast_cooo_config, small_daxpy_trace):
-        with pytest.warns(DeprecationWarning, match="simulate"):
-            shimmed = simulate(fast_cooo_config, small_daxpy_trace)
-        assert shimmed.to_dict() == api.run(fast_cooo_config, small_daxpy_trace).to_dict()
 
 
 class TestExceptionTraceProbes:

@@ -33,7 +33,8 @@ class TestRunnerInfrastructure:
     def test_suite_traces_cached(self):
         first = suite_traces(SCALE)
         second = suite_traces(SCALE)
-        assert first is second
+        assert list(first) == list(second)
+        assert all(first[name] is second[name] for name in first)
 
     def test_suite_traces_workload_filter(self):
         traces = suite_traces(SCALE, workloads=("daxpy",))

@@ -7,7 +7,6 @@ from repro.common.errors import SimulationError
 from repro.core.pipeline import BaselinePipeline
 from repro.core.registry_machines import create_pipeline
 from repro.api import run as simulate
-from repro.core.processor import Processor
 from repro.isa import registers as regs
 from repro.isa.instruction import InstState
 from repro.isa.opcodes import OpClass
@@ -48,13 +47,6 @@ class TestBasicExecution:
         pipeline = create_pipeline(fast_baseline_config, small_daxpy_trace)
         with pytest.raises(SimulationError):
             pipeline.run(max_cycles=3)
-
-    def test_processor_run_suite(self, fast_baseline_config, compute_trace, miss_probe_trace):
-        processor = Processor(fast_baseline_config)
-        with pytest.warns(DeprecationWarning):
-            results = processor.run_suite({"a": compute_trace, "b": miss_probe_trace})
-        assert set(results) == {"a", "b"}
-        assert all(r.committed_instructions > 0 for r in results.values())
 
 
 class TestWindowScaling:

@@ -18,8 +18,8 @@ from repro.analysis.report import (
 )
 from repro.common.config import cooo_config, scaled_baseline
 from repro.api import run as simulate
-from repro.core.processor import average_ipc
 from repro.core.result import SimulationResult
+from repro.experiments.runner import suite_ipc
 from repro.isa.instruction import RetireClass
 from repro.workloads import daxpy
 
@@ -74,8 +74,8 @@ class TestSimulationResult:
         assert make_result().stat("does.not.exist", default=3.5) == 3.5
 
     def test_average_ipc_helper(self):
-        results = [make_result(cycles=1000), make_result(cycles=2500)]
-        assert average_ipc(results) == pytest.approx((2.5 + 1.0) / 2)
+        results = {"a": make_result(cycles=1000), "b": make_result(cycles=2500)}
+        assert suite_ipc(results) == pytest.approx((2.5 + 1.0) / 2)
 
     def test_real_run_populates_stats(self):
         result = simulate(scaled_baseline(window=64, memory_latency=50), daxpy(elements=30))

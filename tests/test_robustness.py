@@ -221,6 +221,21 @@ class TestWatchdog:
         assert time.monotonic() - started < 5.0
 
     @pytest.mark.skipif(not watchdog_available(), reason="no SIGALRM here")
+    @pytest.mark.parametrize("then_sleep", [0.0, 10.0])
+    def test_deadline_survives_a_swallowed_raise(self, then_sleep):
+        # A raise landing in a finalizer is swallowed; the block must
+        # still end in CellTimeoutError, whether it then finishes or hangs.
+        started = time.monotonic()
+        with pytest.raises(CellTimeoutError):
+            with deadline(0.1):
+                try:
+                    time.sleep(10)
+                except CellTimeoutError:
+                    pass
+                time.sleep(then_sleep)
+        assert time.monotonic() - started < 5.0
+
+    @pytest.mark.skipif(not watchdog_available(), reason="no SIGALRM here")
     def test_deadline_restores_previous_handler(self):
         before = signal.getsignal(signal.SIGALRM)
         with deadline(5.0):
@@ -348,6 +363,15 @@ def _pool_poison(payload, attempt):
     raise RuntimeError("always broken")
 
 
+def _pool_sleepy(payload, attempt):
+    time.sleep(10)
+
+
+def _pool_nested(payload, attempt):
+    """An in-parent pool without a watchdog, inside a watched task."""
+    return ResilientPool(_pool_sleepy, 1, retry=FAST_RETRY).run([("inner", 0, "")])
+
+
 class TestResilientPool:
     def test_runs_everything_and_preserves_results(self):
         pool = ResilientPool(_pool_flaky, 2, retry=FAST_RETRY)
@@ -389,6 +413,19 @@ class TestResilientPool:
         kinds = [kind for kind, _ in events]
         assert kinds.count("quarantine") == 2
         assert kinds.count("task-error") == 2 * FAST_RETRY.max_attempts
+
+    @pytest.mark.skipif(not watchdog_available(), reason="no SIGALRM here")
+    def test_in_parent_timeout_reaches_the_watching_pool(self):
+        outer = ResilientPool(
+            _pool_nested, 1, cell_timeout=0.1, retry=RetryPolicy(max_attempts=1)
+        )
+        started = time.monotonic()
+        outcome = outer.run([("outer", 0, "grid")])
+        assert time.monotonic() - started < 5.0
+        assert outcome.timeouts == 1
+        assert outcome.failures["outer"].errors == [
+            "CellTimeoutError: cell grid exceeded its 0.1s wall-clock watchdog"
+        ]
 
     def test_bad_worker_count_rejected(self):
         with pytest.raises(ValueError, match="workers"):
@@ -567,6 +604,42 @@ class TestParallelRecovery:
         assert outcome.timeouts == 2  # both configs' daxpy first attempts
         assert outcome.failed_cells == []
         assert rows_of(outcome) == baseline_rows
+
+
+class TestOneLoopCounters:
+    """Serial, degraded and parallel sweeps report the same counters."""
+
+    @pytest.mark.skipif(not watchdog_available(), reason="no SIGALRM here")
+    def test_degraded_run_counts_watchdog_timeouts_like_serial(self):
+        policy = RetryPolicy(max_attempts=2)
+        serial = SweepEngine(jobs=1, cell_timeout=0.001, retry=policy).run(small_spec())
+        degraded = SweepEngine(
+            jobs=2,
+            cell_timeout=0.001,
+            retry=policy,
+            max_worker_deaths=1,
+            injector=FaultInjector(plan_of(FaultRule("worker.crash", rate=1.0))),
+        ).run(small_spec())
+        assert degraded.degraded
+        # Every attempt of every cell times out: 4 cells x 2 attempts.
+        assert serial.timeouts == degraded.timeouts == 8
+        for entry in serial.failed_cells + degraded.failed_cells:
+            # The watchdog names the cell, not the pool's task id.
+            label = f"cell {entry['config']}x{entry['workload']} exceeded"
+            assert all(label in error for error in entry["errors"])
+
+    def test_parallel_run_reports_cache_traffic_like_serial(self, tmp_path):
+        caches = {}
+        for jobs in (1, 2):
+            caches[jobs] = ResultCache(tmp_path / f"jobs{jobs}", max_bytes=1)
+            SweepEngine(jobs=jobs, cache=caches[jobs]).run(small_spec())
+        serial, parallel = caches[1], caches[2]
+        # A 1-byte budget evicts every entry right after its store.
+        assert serial.evictions == parallel.evictions == 4
+        assert serial.evicted_bytes == parallel.evicted_bytes > 0
+        # The parent's lookup and the cell's own both miss, in either mode.
+        assert serial.misses == parallel.misses == 8
+        assert serial.stores == parallel.stores == 4
 
 
 class TestChaosCampaign:

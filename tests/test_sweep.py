@@ -406,7 +406,7 @@ class TestParallelTraceLocality:
 
         ``imap`` hands out consecutive chunks of ``chunksize`` tasks
         round-robin; each worker builds one trace per distinct workload
-        it sees (the per-process ``_WORKER_TRACES`` cache).
+        it sees (the per-process ``suite_traces`` memo).
         """
         chunks = [
             ordered_cells[i : i + chunksize]
@@ -460,22 +460,21 @@ class TestParallelTraceLocality:
         assert two_worker_builds == len(WORKLOADS)
 
     def test_worker_trace_build_counter(self):
-        from repro.experiments import sweep as sweep_module
-        from repro.experiments.sweep import _simulate_cell, _workload_major
+        from repro.experiments import runner
+        from repro.experiments.sweep import CellTask, _workload_major, run_cell
 
         spec = self._grid_spec()
         cells = spec.cells()
         ordered = _workload_major(cells, [None] * len(cells), spec)
         tasks = [
-            (cell.config.to_dict(), spec.suite, spec.scale, cell.workload, None)
+            CellTask(cell.config, spec.suite, spec.scale, cell.workload)
             for cell in ordered
         ]
-        sweep_module._WORKER_TRACES.clear()
-        sweep_module.TRACE_BUILDS = 0
+        runner._member_trace.cache_clear()
         for task in tasks:
-            _simulate_cell(task)
+            run_cell(task, 0)
         # One build per workload, not one per cell.
-        assert sweep_module.TRACE_BUILDS == len(WORKLOADS)
+        assert runner._member_trace.cache_info().misses == len(WORKLOADS)
         assert len(tasks) == len(WORKLOADS) * len(spec.configs)
 
     def test_parallel_run_matches_serial_with_reordering(self):
@@ -521,32 +520,22 @@ class TestWorkerCacheAggregation:
         assert rows_of(second) == rows_of(first)
 
     def test_worker_cell_hits_cache_directly(self, tmp_path):
-        from repro.experiments.sweep import _simulate_cell
+        from repro.experiments.sweep import CellTask, run_cell
 
         spec = small_spec()
         cell = spec.cells()[0]
         key = cell_cache_key(cell.config, spec.suite, cell.workload, spec.scale)
-        task = (
-            cell.config.to_dict(), spec.suite, spec.scale, cell.workload,
-            None, str(tmp_path), key,
+        task = CellTask(
+            cell.config, spec.suite, spec.scale, cell.workload,
+            cache=ResultCache(tmp_path), key=key,
         )
-        first_result, first_meta = _simulate_cell(task)
+        first_result, first_meta = run_cell(task, 0)
         assert first_meta["cache_hit"] is False
-        assert first_meta["stored"] is True
-        second_result, second_meta = _simulate_cell(task)
+        assert first_meta["cache"]["stores"] == 1
+        second_result, second_meta = run_cell(task, 0)
         assert second_meta["cache_hit"] is True
-        assert second_meta["stored"] is False
+        assert second_meta["cache"]["stores"] == 0
         assert second_result.summary_row() == first_result.summary_row()
-
-    def test_legacy_five_field_task_still_works(self):
-        from repro.experiments.sweep import _simulate_cell
-
-        spec = small_spec()
-        cell = spec.cells()[0]
-        task = (cell.config.to_dict(), spec.suite, spec.scale, cell.workload, None)
-        result, meta = _simulate_cell(task)
-        assert result.cycles > 0
-        assert meta["cache_hit"] is False and meta["stored"] is False
 
 
 class TestSweepTelemetry:

@@ -14,8 +14,7 @@ Three properties are load-bearing and pinned here:
   checkpoint-hit, and under injected worker crashes.
 * **Sharing** — a two-machine sampled sweep pointed at one checkpoint
   directory performs exactly one functional warm-up pass (the
-  ``WARM_PASSES`` counter, mirroring ``TRACE_BUILDS`` in the sweep
-  tests).
+  ``WARM_PASSES`` counter).
 """
 
 import argparse
@@ -25,8 +24,8 @@ import json
 import pytest
 
 from repro import __version__, api
-from repro.common.config import SamplingPlan
-from repro.common.errors import ConfigurationError, TraceError
+from repro.common.config import SamplingPlan, scaled_baseline
+from repro.common.errors import ConfigurationError, SimulationError, TraceError
 from repro.common.stats import StatsRegistry
 from repro.core import sampling as sampling_mod
 from repro.core import warmstate
@@ -260,6 +259,19 @@ class TestParallelEquivalence:
         with pytest.raises(ConfigurationError, match="parallel sampled windows"):
             run_sampled(
                 config, trace, PLAN, parallel_windows=2, progress=lambda p: None
+            )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_window_raises_simulation_error(self, jobs):
+        with pytest.raises(
+            SimulationError, match=r"window 0: SimulationError: exceeded max_cycles=50"
+        ):
+            run_sampled(
+                scaled_baseline(window=64, memory_latency=100),
+                daxpy(elements=3000),
+                SamplingPlan.parse("4000:500:200"),
+                parallel_windows=jobs,
+                max_cycles=50,
             )
 
     def test_single_job_stays_on_serial_driver(self, trace):
