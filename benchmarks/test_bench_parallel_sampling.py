@@ -38,7 +38,7 @@ SERIAL_SPEC = _SPECS["baseline-daxpy-xl-sampled"]
 
 
 def test_par4_spec_is_registered():
-    """repro bench / record.py can record the parallel benchmark."""
+    """repro bench can record the parallel benchmark."""
     assert PARALLEL_SPEC.sample_jobs == 4
     assert PARALLEL_SPEC.sampling == SERIAL_SPEC.sampling
 

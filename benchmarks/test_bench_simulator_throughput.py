@@ -5,7 +5,7 @@ machine so that regressions in the simulator itself (as opposed to the
 modelled machines) are visible in the pytest-benchmark output.
 
 The benchmark definitions live in :mod:`repro.perf` (shared with
-``repro bench`` and ``benchmarks/record.py``).  The headline entries
+``repro bench``).  The headline entries
 (``baseline-128``, ``baseline-4096``, ``cooo-64-1024``) run the paper's
 target regime — kilo-instruction windows waiting on 500-cycle dependent
 loads — which is where the event-driven cycle-skipping kernel matters;
@@ -71,7 +71,7 @@ def test_event_driven_speedup_guard():
 
 
 def test_bench_record_rows_are_machine_readable(tmp_path):
-    """repro bench / record.py appends valid JSON rows (smoke, one tiny run)."""
+    """repro bench appends valid JSON rows (smoke, one tiny run)."""
     from repro.perf import append_record, run_benchmarks
 
     rows = run_benchmarks(["cooo-64-1024-daxpy"], repeats=1)
@@ -85,3 +85,30 @@ def test_bench_record_rows_are_machine_readable(tmp_path):
     assert entry["results"][0]["name"] == "cooo-64-1024-daxpy"
     assert entry["results"][0]["sim_cycles_per_sec"] > 0
     assert again["version"] == entry["version"]
+
+
+def test_an_interrupted_record_keeps_the_history(tmp_path, monkeypatch):
+    """A dump that dies part-way (Ctrl-C, a crash) must not truncate the
+    recorded history: the old file stays byte-identical, no temp file is
+    left behind, and the next recording appends as usual."""
+    import json
+
+    from repro import perf
+
+    out = tmp_path / "BENCH_simulator.json"
+    perf.append_record(str(out), [{"name": "first"}], note="kept")
+    before = out.read_bytes()
+    real_dump = json.dump
+
+    def dies_half_way(obj, handle, **kwargs):
+        handle.write(json.dumps(obj, **kwargs)[:40])
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(perf.json, "dump", dies_half_way)
+    with pytest.raises(KeyboardInterrupt):
+        perf.append_record(str(out), [{"name": "second"}], note="lost")
+    assert out.read_bytes() == before
+    assert [path.name for path in tmp_path.iterdir()] == [out.name]
+    monkeypatch.setattr(perf.json, "dump", real_dump)
+    perf.append_record(str(out), [{"name": "third"}], note="next")
+    assert [entry["note"] for entry in json.loads(out.read_text())] == ["kept", "next"]

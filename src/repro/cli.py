@@ -850,8 +850,7 @@ def cmd_workloads(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     """Run the simulator throughput benchmarks (see repro.perf).
 
-    The argument set comes from repro.perf.add_bench_arguments, so
-    'repro bench' and 'python benchmarks/record.py' behave identically.
+    The arguments come from repro.perf.add_bench_arguments.
     """
     from .perf import run_from_args
 

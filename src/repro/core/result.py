@@ -9,24 +9,50 @@ from ..common.config import ProcessorConfig
 from ..common.stats import StatsRegistry, ratio
 
 
+def _int_key(key: object) -> object:
+    """``key`` as an int if it is a digit string (a JSON-stringified int)."""
+    if isinstance(key, str) and (key.isdigit() or (key.startswith("-") and key[1:].isdigit())):
+        return int(key)
+    return key
+
+
 def _restore_int_keys(value: object) -> object:
     """Undo JSON's stringification of integer dict keys, recursively.
 
-    Stats blobs key distribution weights and histogram buckets by int;
-    after a JSON round trip those keys come back as digit strings.
-    Numeric-looking string keys are therefore assumed to have been ints:
-    the shipped machines never label buckets with digit strings, and
-    custom stats that did would see those labels coerced on a cache load.
+    Histogram buckets may be keyed by int; after a JSON round trip those
+    keys come back as digit strings.  Numeric-looking string keys are
+    therefore assumed to have been ints: the shipped machines never label
+    buckets with digit strings, and custom stats that did would see those
+    labels coerced on a cache load.
     """
     if isinstance(value, dict):
-        return {
-            int(key)
-            if isinstance(key, str)
-            and (key.isdigit() or (key.startswith("-") and key[1:].isdigit()))
-            else key: _restore_int_keys(item)
-            for key, item in value.items()
-        }
+        return {_int_key(key): _restore_int_keys(item) for key, item in value.items()}
     return value
+
+
+def _restore_stats(stats: Dict[str, object]) -> Dict[object, object]:
+    """A JSON-loaded stats blob with its integer keys restored.
+
+    A distribution (``{"weights": {...}, "mean": x}``, as
+    :meth:`StatsRegistry.snapshot` writes it) keys its weights by int, so
+    they convert with ``int(key)`` directly: one comprehension instead of a
+    recursive call per weight.  A weight key that is not an integer raises
+    ``ValueError``, which makes a cache entry corrupt.  Every other
+    dict-valued stat takes the generic :func:`_restore_int_keys` walk.
+    """
+    restored: Dict[object, object] = {}
+    for name, value in stats.items():
+        if isinstance(value, dict):
+            weights = value.get("weights")
+            if type(weights) is dict and len(value) == 2 and "mean" in value:
+                value = {
+                    "weights": {int(key): weight for key, weight in weights.items()},
+                    "mean": value["mean"],
+                }
+            else:
+                value = _restore_int_keys(value)
+        restored[_int_key(name)] = value
+    return restored
 
 
 @dataclass(slots=True)
@@ -168,7 +194,7 @@ class SimulationResult:
             cycles=int(data["cycles"]),  # type: ignore[arg-type]
             committed_instructions=int(data["committed_instructions"]),  # type: ignore[arg-type]
             fetched_instructions=int(data["fetched_instructions"]),  # type: ignore[arg-type]
-            stats=_restore_int_keys(dict(data.get("stats") or {})),  # type: ignore[arg-type]
+            stats=_restore_stats(dict(data.get("stats") or {})),  # type: ignore[arg-type]
             sampled=bool(data.get("sampled", False)),
             windows=[dict(window) for window in data.get("windows") or []],  # type: ignore[union-attr]
             ipc_ci95=float(data.get("ipc_ci95", 0.0) or 0.0),  # type: ignore[arg-type]

@@ -9,13 +9,12 @@ on ~500-cycle main-memory loads — which is exactly where the
 event-driven cycle-skipping kernel pays off; the ``*-daxpy`` variants
 keep the fully-busy (no skippable cycles) path honest.
 
-Three entry points share this module:
+Two entry points share this module:
 
 * ``repro bench`` — the CLI subcommand;
-* ``benchmarks/record.py`` — the standalone script;
 * ``benchmarks/test_bench_simulator_throughput.py`` — the pytest
   benchmarks and the CI speedup guard, which import :data:`BENCHMARKS`
-  so all three always measure the same thing.
+  so both always measure the same thing.
 
 Results append to ``BENCH_simulator.json`` (a JSON array, one entry per
 recording) via :func:`append_record`.
@@ -341,7 +340,9 @@ def append_record(
     The file holds the machine-readable performance trajectory: each
     entry is ``{timestamp, version, python, platform, note, results}``.
     A missing or empty file starts a new array; a corrupt file raises
-    rather than silently discarding history.
+    rather than silently discarding history.  The rewrite is atomic (a
+    sibling temp file, then ``os.replace``), so a crash or Ctrl-C
+    mid-write leaves the previous history intact.
     """
     from . import __version__
 
@@ -362,9 +363,15 @@ def append_record(
     except FileNotFoundError:
         history = []
     history.append(entry)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(history, handle, indent=2)
-        handle.write("\n")
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            json.dump(history, handle, indent=2)
+            handle.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # only on failure; os.replace consumed it otherwise
+            os.unlink(tmp)
     return entry
 
 
@@ -470,12 +477,7 @@ def compare_latest(
 
 
 def add_bench_arguments(parser) -> None:
-    """Attach the benchmark driver's arguments to an argparse parser.
-
-    Shared between the standalone driver (:func:`main`, used by
-    ``benchmarks/record.py``) and the ``repro bench`` subcommand, so
-    both expose the exact same interface.
-    """
+    """Attach the benchmark driver's arguments to the ``repro bench`` parser."""
     core_names = ", ".join(spec.name for spec in BENCHMARKS)
     xl_names = ", ".join(spec.name for spec in XL_BENCHMARKS)
     parser.add_argument(
@@ -563,15 +565,3 @@ def run_from_args(args) -> int:
         entry = append_record(args.out, results, note=args.note)
         print(f"\nappended to {args.out} ({entry['timestamp']}, kernel={results[0]['kernel']})")
     return 0
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Command-line driver shared by ``repro bench`` and benchmarks/record.py."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro bench",
-        description="run the simulator throughput benchmarks and record the results",
-    )
-    add_bench_arguments(parser)
-    return run_from_args(parser.parse_args(argv))

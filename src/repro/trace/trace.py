@@ -11,13 +11,92 @@ instructions is modelled faithfully.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
+import operator
 import os
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from ..common.errors import TraceError
 from ..isa.instruction import Instruction
 from ..isa.opcodes import OpClass
+
+#: An instruction's record fields in ``json.dumps(..., sort_keys=True)`` order.
+_RECORD_FIELDS = operator.attrgetter(
+    "branch_taken",
+    "branch_target",
+    "dest",
+    "label",
+    "mem_addr",
+    "mem_size",
+    "op",
+    "pc",
+    "raises_exception",
+    "srcs",
+)
+#: JSON string of every operation class, keyed by its ``_value_`` (the
+#: ``value`` property and ``Enum.__hash__`` are Python calls per lookup).
+_OP_JSON = {op._value_: json.dumps(op.value) for op in OpClass}
+#: Records hashed per sha256 update: bounds the digest's transient memory.
+_DIGEST_CHUNK = 4096
+
+
+def _record_lines(
+    chunk: Sequence[Instruction], labels: Dict[str, str], srcs_json: Dict[tuple, str]
+) -> str:
+    """``json.dumps(instr.to_record(), sort_keys=True) + "\\n"`` for each of ``chunk``.
+
+    Fills one fixed sorted-key line template instead of building a dict
+    and running the JSON encoder per instruction; ``labels`` and
+    ``srcs_json`` memoise the encoded strings across chunks.  The template
+    renders exact ``int``/``bool``/``str`` fields only: any other type the
+    constructor accepts (``dest=True``, a float ``pc``, a bool in
+    ``srcs``, a non-str label, a subclass) takes the JSON encoder, so the
+    bytes never differ.  The srcs cache is consulted only for all-``int``
+    tuples because ``(True,)`` hashes and compares equal to ``(1,)``.
+    """
+    lines: List[str] = []
+    append = lines.append
+    for instr, fields in zip(chunk, map(_RECORD_FIELDS, chunk)):
+        taken, target, dest, label, addr, size, op, pc, exc, srcs = fields
+        if (
+            type(instr) is Instruction
+            and type(pc) is int
+            and type(size) is int
+            and type(label) is str
+            and type(op) is OpClass
+            and type(srcs) is tuple
+            and (taken is True or taken is False)
+            and (exc is True or exc is False)
+            and (dest is None or type(dest) is int)
+            and (addr is None or type(addr) is int)
+            and (target is None or type(target) is int)
+        ):
+            for reg in srcs:
+                if type(reg) is not int:
+                    break
+            else:
+                label_json = labels.get(label)
+                if label_json is None:
+                    label_json = labels[label] = json.dumps(label)
+                srcs_text = srcs_json.get(srcs)
+                if srcs_text is None:
+                    srcs_text = srcs_json[srcs] = json.dumps(list(srcs))
+                append(
+                    f'{{"branch_taken": {"true" if taken else "false"}, '
+                    f'"branch_target": {"null" if target is None else target}, '
+                    f'"dest": {"null" if dest is None else dest}, '
+                    f'"label": {label_json}, '
+                    f'"mem_addr": {"null" if addr is None else addr}, '
+                    f'"mem_size": {size}, '
+                    f'"op": {_OP_JSON[op._value_]}, '
+                    f'"pc": {pc}, '
+                    f'"raises_exception": {"true" if exc else "false"}, '
+                    f'"srcs": {srcs_text}}}\n'
+                )
+                continue
+        append(json.dumps(instr.to_record(), sort_keys=True) + "\n")
+    return "".join(lines)
 
 
 class Trace:
@@ -122,16 +201,20 @@ class Trace:
 
         Covers every instruction record but *not* the trace name, so a
         regenerated, loaded or renamed copy of the same execution hashes
-        equal.  Computed lazily and cached — traces are immutable — so
-        repeated checkpoint-key derivations pay the walk once.
+        equal.  The hashed bytes are each record's
+        ``json.dumps(record, sort_keys=True)`` plus a newline, rendered by
+        :func:`_record_lines` and streamed in bounded chunks.  Computed
+        lazily and cached — traces are immutable — so repeated
+        checkpoint-key derivations pay the walk once.
         """
         if self._digest is None:
-            import hashlib
-
             hasher = hashlib.sha256()
-            for instr in self._instructions:
-                hasher.update(json.dumps(instr.to_record(), sort_keys=True).encode("utf-8"))
-                hasher.update(b"\n")
+            labels: Dict[str, str] = {}
+            srcs_json: Dict[tuple, str] = {}
+            instructions = self._instructions
+            for start in range(0, len(instructions), _DIGEST_CHUNK):
+                chunk = instructions[start : start + _DIGEST_CHUNK]
+                hasher.update(_record_lines(chunk, labels, srcs_json).encode("utf-8"))
             self._digest = hasher.hexdigest()
         return self._digest
 

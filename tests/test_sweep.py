@@ -71,6 +71,23 @@ class TestResultSerialization:
         assert rebuilt.ipc == result.ipc
         assert rebuilt.cycles == result.cycles
 
+    @pytest.mark.parametrize("machine", ["baseline", "cooo"])
+    def test_stats_reload_with_the_same_keys_values_and_order(self, machine):
+        """Every stat (counters, means, histograms, int-keyed distribution
+        weights) comes back as the simulator wrote it, in the same order."""
+        from repro.api import run as simulate
+        from repro.workloads import numerical
+
+        config = (
+            scaled_baseline(window=64, memory_latency=100)
+            if machine == "baseline"
+            else cooo_config(iq_size=32, sliq_size=512, memory_latency=100)
+        )
+        result = simulate(config, numerical.random_gather(elements=120))
+        assert result.stats["occupancy.in_flight_dist"]["weights"]
+        rebuilt = SimulationResult.from_dict(json.loads(json.dumps(result.to_dict())))
+        assert repr(rebuilt.stats) == repr(result.stats)
+
 
 class TestSpec:
     def test_cells_are_config_major_and_deterministic(self):
@@ -378,6 +395,19 @@ class TestCorruptCacheResilience:
 
     def test_empty_file_is_a_miss(self, tmp_path):
         self._damage_and_recover(tmp_path, lambda path: path.write_text(""))
+
+    def test_non_integer_distribution_weight_is_a_miss(self, tmp_path):
+        """Distribution weights are always int-keyed: a weight key that is
+        not an integer makes the entry corrupt instead of loading it with
+        a string key."""
+
+        def rename_a_weight(path):
+            payload = json.loads(path.read_text())
+            weights = payload["result"]["stats"]["occupancy.in_flight_dist"]["weights"]
+            weights["x"] = weights.pop(next(iter(weights)))
+            path.write_text(json.dumps(payload))
+
+        self._damage_and_recover(tmp_path, rename_a_weight)
 
     def test_load_returns_none_and_unlinks(self, tmp_path):
         cache = ResultCache(tmp_path)
