@@ -11,10 +11,11 @@ target regime — kilo-instruction windows waiting on 500-cycle dependent
 loads — which is where the event-driven cycle-skipping kernel matters;
 the ``*-daxpy`` entries keep the fully-busy per-cycle path honest.
 
-``test_event_driven_speedup_guard`` is the CI tripwire: it asserts the
-event-driven kernel stays at least 2x faster than ``force_per_cycle``
-on the memory-bound benchmark (the actual margin is far larger), so the
-fast path cannot silently rot back into per-cycle stepping.
+``test_event_driven_speedup_guard`` is the CI tripwire: it counts the
+cycles the event-driven kernel steps on the memory-bound benchmarks and
+fails when they grow past a pinned count, so the fast path cannot
+silently rot back into per-cycle stepping.  Counts are the same on
+every host; the seconds are only printed.
 """
 
 import time
@@ -23,9 +24,16 @@ import pytest
 from conftest import run_once
 
 from repro.api import run as simulate
-from repro.perf import BENCHMARKS, run_benchmark
+from repro.core.probes import CallbackProbe
+from repro.perf import BENCHMARKS
 
 _SPECS = {spec.name: spec for spec in BENCHMARKS}
+
+#: Cycles the event-driven kernel steps (rather than skips) on each
+#: memory-bound benchmark, counted at simulator 1.1.0.
+STEPPED_CYCLES = {"baseline-4096": 4_912, "cooo-64-1024": 15_749}
+#: Headroom over the pinned count before the guard fails.
+STEPPED_SLACK = 1.03
 
 
 @pytest.mark.parametrize("name", list(_SPECS))
@@ -39,35 +47,49 @@ def test_bench_simulation_throughput(benchmark, name):
 
 
 def test_event_driven_speedup_guard():
-    """The cycle-skipping kernel must stay >=2x faster than per-cycle stepping.
+    """The cycle-skipping kernel must keep skipping what it skips today.
 
-    Runs the memory-bound headline benchmark both ways, checks the
-    results are identical (the kernel's core invariant), and guards the
-    wall-clock ratio.  The observed ratio is ~5-8x, so 2x leaves a wide
-    margin against timer noise on shared CI runners.
+    Runs each memory-bound benchmark of ``STEPPED_CYCLES`` both ways and
+    checks the results are identical (the kernel's core invariant).  A
+    skip-aware probe counts the cycles the event-driven run stepped and
+    skipped: together they must cover the run exactly, and the stepped
+    ones must stay within ``STEPPED_SLACK`` of the pinned count.
     """
-    spec = _SPECS["baseline-4096"]
+    for name, pinned in STEPPED_CYCLES.items():
+        stepped, skipped, cycles = _stepped_and_skipped(name)
+        assert stepped + skipped == cycles, name
+        assert stepped <= pinned * STEPPED_SLACK, (
+            f"{name}: the event-driven kernel stepped {stepped} cycles, pinned "
+            f"{pinned}; the cycle-skipping fast path has regressed"
+        )
+
+
+def _stepped_and_skipped(name):
+    """(stepped, skipped, total) cycles of one benchmark's event-driven run."""
+    spec = _SPECS[name]
     trace = spec.trace()
     config = spec.config()
+    stepped = skipped = 0
 
-    def best_of(force_per_cycle, repeats=2):
-        best, result = float("inf"), None
-        for _ in range(repeats):
-            started = time.perf_counter()
-            result = simulate(config, trace, force_per_cycle=force_per_cycle)
-            best = min(best, time.perf_counter() - started)
-        return best, result
+    def count_stepped(pipeline):
+        nonlocal stepped
+        stepped += 1
 
-    fast_seconds, fast = best_of(False)
-    slow_seconds, slow = best_of(True, repeats=1)
-    assert fast.to_dict() == slow.to_dict(), "event-driven result diverged from per-cycle"
-    ratio = slow_seconds / fast_seconds
-    print(f"\nevent-driven {fast_seconds:.3f}s vs per-cycle {slow_seconds:.3f}s "
-          f"({ratio:.1f}x)")
-    assert ratio >= 2.0, (
-        f"event-driven kernel only {ratio:.2f}x faster than force_per_cycle; "
-        "the cycle-skipping fast path has regressed"
-    )
+    def count_skipped(pipeline, cycles):
+        nonlocal skipped
+        skipped += cycles
+
+    probe = CallbackProbe(on_cycle=count_stepped, on_idle_cycles=count_skipped)
+    started = time.perf_counter()
+    fast = simulate(config, trace, probes=[probe])
+    fast_seconds = time.perf_counter() - started
+    started = time.perf_counter()
+    slow = simulate(config, trace, force_per_cycle=True)
+    slow_seconds = time.perf_counter() - started
+    assert fast.to_dict() == slow.to_dict(), f"{name}: event-driven result diverged from per-cycle"
+    print(f"\n{name}: stepped {stepped} of {fast.cycles} cycles; event-driven "
+          f"{fast_seconds:.3f}s vs per-cycle {slow_seconds:.3f}s")
+    return stepped, skipped, fast.cycles
 
 
 def test_bench_record_rows_are_machine_readable(tmp_path):

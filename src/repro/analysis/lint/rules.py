@@ -161,12 +161,3 @@ def base_names(node: ast.ClassDef) -> List[str]:
         elif isinstance(base, ast.Attribute):
             out.append(base.attr)
     return out
-
-
-def literal_dict_keys(node: ast.Dict) -> List[str]:
-    """String keys of a dict literal (non-constant keys are skipped)."""
-    keys: List[str] = []
-    for key in node.keys:
-        if isinstance(key, ast.Constant) and isinstance(key.value, str):
-            keys.append(key.value)
-    return keys

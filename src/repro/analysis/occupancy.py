@@ -10,7 +10,7 @@ average number of live (not-yet-issued) instructions, split into
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, Mapping, Sequence
 
 from ..core.result import SimulationResult
 
@@ -60,10 +60,6 @@ class OccupancyProfile:
     mean_live: float
     mean_live_fp_long: float
     mean_live_fp_short: float
-
-    @property
-    def mean_live_fp(self) -> float:
-        return self.mean_live_fp_long + self.mean_live_fp_short
 
     @property
     def live_fraction(self) -> float:

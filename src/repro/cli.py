@@ -99,9 +99,8 @@ import json
 import logging
 import sys
 import time
-from collections.abc import Mapping
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from .analysis.report import format_table
 from .api import Simulation
@@ -123,31 +122,8 @@ from .workloads.registry import (
     get_workload,
     suite_names,
     suite_specs,
-    workload_names,
     workload_specs,
 )
-
-
-class _WorkloadView(Mapping):
-    """Live ``name -> fn(size)`` view over the workload registry.
-
-    Kept for code written against the original module-level ``WORKLOADS``
-    dict; runtime-registered workloads appear automatically.
-    """
-
-    def __getitem__(self, name: str) -> Callable[[int], Trace]:
-        spec = get_workload(name)
-        return lambda size: spec.build(size=size)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(workload_names())
-
-    def __len__(self) -> int:
-        return len(workload_names())
-
-
-#: Individual workload generators exposed on the command line.
-WORKLOADS: Mapping[str, Callable[[int], Trace]] = _WorkloadView()
 
 
 def build_machine(args: argparse.Namespace) -> ProcessorConfig:

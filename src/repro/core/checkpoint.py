@@ -13,7 +13,7 @@ and restores the rename snapshot taken when the checkpoint was created.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterable, List, Optional, Set
+from typing import Deque, List, Optional, Set
 
 from ..common.config import CheckpointConfig
 from ..common.errors import CheckpointError
@@ -304,10 +304,6 @@ class CheckpointPolicy:
     @property
     def instructions_since_last(self) -> int:
         return self._since_last
-
-    @property
-    def stores_since_last(self) -> int:
-        return self._stores_since_last
 
     def should_checkpoint(self, inst: DynInst) -> bool:
         """True if a checkpoint must be taken *before* dispatching ``inst``."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..branch import BranchTargetBuffer, GSharePredictor, build_predictor
-from ..common.config import BranchConfig, MemoryConfig
+from ..common.config import BranchConfig
 from ..common.stats import StatsRegistry
 from ..isa.instruction import Instruction
 from ..memory.hierarchy import CacheHierarchy
@@ -50,11 +50,9 @@ class FetchUnit:
         "predictor",
         "btb",
         "_gshare",
-        "_stall_branch_seq",
         "_resume_cycle",
         "_resolved_branches",
         "_fetched",
-        "_stall_cycles",
         "_redirects",
     )
 
@@ -73,7 +71,6 @@ class FetchUnit:
         self.predictor = build_predictor(branch_config, stats)
         self.btb = BranchTargetBuffer(branch_config, stats)
         self._gshare = isinstance(self.predictor, GSharePredictor)
-        self._stall_branch_seq: Optional[int] = None
         self._resume_cycle = 0
         #: Trace indices of branches the back end has already resolved
         #: through a checkpoint rollback.  A trace index names one
@@ -84,17 +81,15 @@ class FetchUnit:
         #: mispredict-rollback-replay livelock possible.
         self._resolved_branches: set = set()
         self._fetched = stats.counter("fetch.instructions")
-        self._stall_cycles = stats.counter("fetch.mispredict_stall_cycles")
+        # Registered for result compatibility: fetch never stalls on a
+        # mispredicted branch (see the module docstring), so it reads 0.
+        stats.counter("fetch.mispredict_stall_cycles")
         self._redirects = stats.counter("fetch.redirects")
 
     # -- status -----------------------------------------------------------------
     @property
     def exhausted(self) -> bool:
         return self.cursor.exhausted
-
-    @property
-    def stalled(self) -> bool:
-        return self._stall_branch_seq is not None
 
     @property
     def resume_cycle(self) -> int:
@@ -108,9 +103,7 @@ class FetchUnit:
 
     def can_fetch(self, cycle: int) -> bool:
         """True if the front end may fetch this cycle."""
-        if self.exhausted or self.stalled:
-            return False
-        return cycle >= self._resume_cycle
+        return not self.cursor.exhausted and cycle >= self._resume_cycle
 
     # -- fetching ------------------------------------------------------------------
     def fetch_block(self, cycle: int) -> List[FetchedInstruction]:
@@ -123,8 +116,6 @@ class FetchUnit:
         """
         block: List[FetchedInstruction] = []
         if not self.can_fetch(cycle):
-            if self.stalled:
-                self._stall_cycles.add()
             return block
         first = self.cursor.peek()
         if first is not None:
@@ -194,7 +185,7 @@ class FetchUnit:
             self.predictor.update(instr.pc, actual)
         return predicted, mispredicted
 
-    # -- redirects and stalls --------------------------------------------------------------
+    # -- redirects ---------------------------------------------------------------------------
     def redirect(self, trace_index: int, resume_cycle: int) -> None:
         """Rewind fetch to ``trace_index`` and restart at ``resume_cycle``.
 
@@ -203,31 +194,7 @@ class FetchUnit:
         checkpointed instruction).
         """
         self.cursor.rewind_to(trace_index)
-        self._stall_branch_seq = None
         self._resume_cycle = max(self._resume_cycle, resume_cycle)
-
-    def stall_for_branch(self, seq: int) -> None:
-        """Stop fetching until the branch with dynamic sequence ``seq`` resolves.
-
-        Kept for stall-based front-end experiments and unit tests; the
-        default pipelines use :meth:`redirect`-based recovery instead.
-        """
-        self._stall_branch_seq = seq
-
-    def branch_resolved(self, seq: int, cycle: int) -> None:
-        """The back end resolved the mispredicted branch ``seq``."""
-        if self._stall_branch_seq == seq:
-            self._stall_branch_seq = None
-            self._resume_cycle = max(self._resume_cycle, cycle + self.config.penalty)
-
-    def clear_stall(self, resume_cycle: int) -> None:
-        """Forget any pending stall (used by checkpoint rollback)."""
-        self._stall_branch_seq = None
-        self._resume_cycle = max(self._resume_cycle, resume_cycle)
-
-    def rewind(self, trace_index: int) -> None:
-        """Move the fetch cursor back for checkpoint-rollback re-execution."""
-        self.cursor.rewind_to(trace_index)
 
     def note_resolved(self, trace_index: int) -> None:
         """Record that the dynamic branch at ``trace_index`` has resolved.

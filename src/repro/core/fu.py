@@ -36,10 +36,6 @@ class FunctionalUnitPool:
         self._structural_stalls.add()
         return False
 
-    def busy_units(self, cycle: int) -> int:
-        """How many units are still occupied at ``cycle`` (diagnostics)."""
-        return sum(1 for until in self._busy_until if until > cycle)
-
 
 class ExecutionUnits:
     """All pools of the machine plus the latency lookup."""

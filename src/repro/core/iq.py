@@ -70,10 +70,6 @@ class WakeupNetwork:
     def clear(self) -> None:
         self._waiters.clear()
 
-    def pending_registers(self) -> int:
-        """Number of registers with at least one waiter (diagnostics)."""
-        return len(self._waiters)
-
 
 class InstructionQueue:
     """One general-purpose issue queue (wakeup + oldest-first select)."""
@@ -240,8 +236,3 @@ class InstructionQueue:
             ),
             key=lambda inst: inst.seq,
         )
-
-    def drop_squashed(self, insts: Iterable[DynInst]) -> None:
-        """Remove a batch of squashed instructions that were resident here."""
-        for inst in insts:
-            self.remove(inst)

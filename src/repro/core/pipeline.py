@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Deque, List, Optional, Sequence, Set, Tuple
 
 from ..common.config import ProcessorConfig
 from ..common.errors import DeadlockError, SimulationError
 from ..common.stats import StatsRegistry
 from ..isa.instruction import DynInst, InstState, RetireClass
-from ..isa.opcodes import OpClass, is_fp
+from ..isa.opcodes import is_fp
 from ..memory.hierarchy import CacheHierarchy
 from ..trace.trace import Trace
 from .cam_rename import CAMRenamer
@@ -350,8 +350,6 @@ class PipelineBase:
             target = head
         frontend = self.frontend
         if len(self.fetch_buffer) < self._fetch_buffer_cap and not frontend.exhausted:
-            if frontend.stalled:
-                return  # stall-mode front ends count per-cycle statistics
             resume = frontend.resume_cycle
             if resume <= horizon:
                 return
@@ -426,6 +424,25 @@ class PipelineBase:
     def _queue_for(self, inst: DynInst) -> InstructionQueue:
         return self.fp_queue if is_fp(inst.op) else self.int_queue
 
+    def _dispatch_stall(
+        self, inst: DynInst, queue: InstructionQueue
+    ) -> Optional[Tuple[Callable[[int], None], ...]]:
+        """Why ``inst`` cannot enter ``queue`` this cycle, as stall effects.
+
+        Checks a full issue queue, a full LSQ (memory operations) and a
+        blocked rename, in that order.  Returns ``None`` when nothing
+        blocks ``inst``, otherwise the statistic effects of one stalled
+        cycle: dispatch calls each with 1, the event-driven kernel with
+        the number of cycles it skips.
+        """
+        if queue.is_full:
+            return (queue.note_full_stall, self._dispatch_stalls.add)
+        if inst.is_memory and self.lsq.is_full:
+            return (self.lsq.note_full_stall, self._dispatch_stalls.add)
+        if not self.renamer.can_rename(inst):
+            return (self._dispatch_stalls.add,)
+        return None
+
     def _enter_window(self, inst: DynInst) -> None:
         """Common bookkeeping when an instruction is dispatched."""
         inst.state = InstState.DISPATCHED
@@ -498,9 +515,8 @@ class PipelineBase:
             if access.l2_miss:
                 inst.long_latency = True
             return base + access.latency
-        if inst.is_store:
-            # Address generation only; the write happens when the store drains.
-            return base
+        # Stores only generate their address here; the write happens when
+        # the store drains.
         return base
 
     # -- write-back --------------------------------------------------------------------------
@@ -572,8 +588,7 @@ class PipelineBase:
             f"committed={self.committed}/{self.total_instructions}, "
             f"in_flight={in_flight}, int_iq={self.int_queue.occupancy}, "
             f"fp_iq={self.fp_queue.occupancy}, lsq={self.lsq.occupancy}, "
-            f"fetch_buffer={len(self.fetch_buffer)}, "
-            f"frontend_stalled={self.frontend.stalled}"
+            f"fetch_buffer={len(self.fetch_buffer)}"
         )
 
 
@@ -601,25 +616,15 @@ class BaselinePipeline(PipelineBase):
 
     # -- dispatch -----------------------------------------------------------------------
     def _dispatch_stage(self) -> None:
-        width = self.config.core.fetch_width
+        width = self._fetch_width
         dispatched = 0
         while self.fetch_buffer and dispatched < width:
             inst = self.fetch_buffer[0]
             queue = self._queue_for(inst)
-            if self.rob.is_full:
-                self.rob.note_full_stall()
-                self._dispatch_stalls.add()
-                return
-            if queue.is_full:
-                queue.note_full_stall()
-                self._dispatch_stalls.add()
-                return
-            if inst.is_memory and self.lsq.is_full:
-                self.lsq.note_full_stall()
-                self._dispatch_stalls.add()
-                return
-            if not self.renamer.can_rename(inst):
-                self._dispatch_stalls.add()
+            stall = self._rob_stall() or self._dispatch_stall(inst, queue)
+            if stall is not None:
+                for effect in stall:
+                    effect(1)
                 return
             self.fetch_buffer.popleft()
             self.renamer.rename(inst)
@@ -629,6 +634,12 @@ class BaselinePipeline(PipelineBase):
             queue.insert(inst, self.regfile, self.wakeup)
             self._enter_window(inst)
             dispatched += 1
+
+    def _rob_stall(self) -> Optional[Tuple[Callable[[int], None], ...]]:
+        """The ROB-full verdict: dispatch's stall effects, or ``None`` if an entry is free."""
+        if self.rob.is_full:
+            return (self.rob.note_full_stall, self._dispatch_stalls.add)
+        return None
 
     # -- commit ---------------------------------------------------------------------------
     def _commit_stage(self) -> None:
@@ -674,13 +685,13 @@ class BaselinePipeline(PipelineBase):
 
     # -- event-driven kernel hooks ----------------------------------------------------
     def _idle_cycle_effects(self) -> Optional[Tuple[Callable[[int], None], ...]]:
-        """Next-cycle no-op check mirroring ``_dispatch_stage``/``_commit_stage``.
+        """Next-cycle no-op check built from the stages' own verdicts.
 
         Skipping is refused (``None``) when the ROB head is completed
         (commit would retire it) or when dispatch could move the fetch
-        buffer's head into the window.  Otherwise the returned effects
-        are exactly the stall statistics one idle dispatch attempt
-        bumps, in the order the real stage would.
+        buffer's head into the window.  Otherwise the effects are those
+        :meth:`_rob_stall` / :meth:`_dispatch_stall` hand the dispatch
+        stage for the same head.
         """
         head = self.rob.head()
         if head is not None and head.state is InstState.DONE:
@@ -688,16 +699,7 @@ class BaselinePipeline(PipelineBase):
         if not self.fetch_buffer:
             return ()
         inst = self.fetch_buffer[0]
-        if self.rob.is_full:
-            return (self.rob.note_full_stall, self._dispatch_stalls.add)
-        queue = self._queue_for(inst)
-        if queue.is_full:
-            return (queue.note_full_stall, self._dispatch_stalls.add)
-        if inst.is_memory and self.lsq.is_full:
-            return (self.lsq.note_full_stall, self._dispatch_stalls.add)
-        if not self.renamer.can_rename(inst):
-            return (self._dispatch_stalls.add,)
-        return None  # dispatch would make progress
+        return self._rob_stall() or self._dispatch_stall(inst, self._queue_for(inst))
 
     def _extra_idle_work(self, cycles: int) -> None:
         self._rob_occupancy_mean.sample_many(self.rob.occupancy, cycles)
@@ -756,35 +758,28 @@ class OoOCommitPipeline(PipelineBase):
 
     # -- dispatch --------------------------------------------------------------------------
     def _dispatch_stage(self) -> None:
-        width = self.config.core.fetch_width
+        width = self._fetch_width
+        pseudo_rob = self.pseudo_rob
         dispatched = 0
         self._dispatched_in_cycle = 0
         while self.fetch_buffer and dispatched < width:
             inst = self.fetch_buffer[0]
-            if not self._ensure_checkpoint(inst):
-                self._dispatch_stalls.add()
-                return
-            if not self._ensure_pseudo_rob_space():
-                self._dispatch_stalls.add()
-                return
+            if self._needs_checkpoint(inst):
+                self._open_checkpoint(inst)
+            while pseudo_rob.is_full:
+                self._retire_from_pseudo_rob()
             queue = self._queue_for(inst)
-            if queue.is_full:
-                queue.note_full_stall()
-                self._dispatch_stalls.add()
-                return
-            if inst.is_memory and self.lsq.is_full:
-                self.lsq.note_full_stall()
-                self._dispatch_stalls.add()
-                return
-            if not self.renamer.can_rename(inst):
-                self._dispatch_stalls.add()
+            stall = self._dispatch_stall(inst, queue)
+            if stall is not None:
+                for effect in stall:
+                    effect(1)
                 return
             self.fetch_buffer.popleft()
             self.renamer.rename(inst)
             if inst.is_memory:
                 self.lsq.allocate(inst)
             queue.insert(inst, self.regfile, self.wakeup)
-            self.pseudo_rob.insert(inst)
+            pseudo_rob.insert(inst)
             youngest = self.checkpoints.youngest()
             assert youngest is not None
             youngest.associate(inst)
@@ -793,26 +788,33 @@ class OoOCommitPipeline(PipelineBase):
             dispatched += 1
             self._dispatched_in_cycle = dispatched
 
-    def _ensure_checkpoint(self, inst: DynInst) -> bool:
-        """Create a checkpoint before ``inst`` if the policy (or safety) requires one.
+    def _needs_checkpoint(self, inst: DynInst) -> bool:
+        """Whether a checkpoint must open before ``inst`` dispatches.
+
+        The first window always needs one, the policy asks for the rest,
+        and careful re-execution after an exception needs one right
+        before the excepting instruction to give a precise state.
+        """
+        return (
+            self.checkpoints.is_empty
+            or self.policy.should_checkpoint(inst)
+            or inst.trace_index in self._careful_indices
+        )
+
+    def _open_checkpoint(self, inst: DynInst) -> None:
+        """Create the checkpoint :meth:`_needs_checkpoint` asked for before ``inst``.
 
         A full checkpoint table does *not* stall dispatch: the machine
         simply keeps associating instructions with the youngest checkpoint
         (its window grows past the thresholds) until the oldest checkpoint
         commits and frees an entry.  This is what lets the paper's machine
         keep thousands of instructions in flight with an 8-entry table.
-        Only the initial checkpoint (there must always be one) is mandatory.
+        The table is never both full and empty (its size is at least 1),
+        so the initial checkpoint is always created.
         """
-        need = self.checkpoints.is_empty or self.policy.should_checkpoint(inst)
-        if inst.trace_index in self._careful_indices:
-            # Careful re-execution after an exception: a checkpoint right
-            # before the excepting instruction gives a precise state.
-            need = True
-        if not need:
-            return True
         if self.checkpoints.is_full:
             self.checkpoints.note_full_stall()
-            return not self.checkpoints.is_empty
+            return
         snapshot = self.renamer.take_snapshot()
         harvested = self.renamer.harvest_future_free()
         checkpoint = self.checkpoints.create(
@@ -827,21 +829,13 @@ class OoOCommitPipeline(PipelineBase):
         if self._hooks_checkpoint:
             for hook in self._hooks_checkpoint:
                 hook(self, checkpoint)
-        return True
-
-    def _ensure_pseudo_rob_space(self) -> bool:
-        """Retire the oldest pseudo-ROB entries until there is room for one more."""
-        while self.pseudo_rob.is_full:
-            if not self._retire_from_pseudo_rob():
-                return False
-        return True
 
     # -- pseudo-ROB retirement and SLIQ classification --------------------------------------------
-    def _retire_from_pseudo_rob(self) -> bool:
-        """Classify and retire the oldest pseudo-ROB entry; False if blocked."""
+    def _retire_from_pseudo_rob(self) -> None:
+        """Classify and retire the oldest pseudo-ROB entry."""
         inst = self.pseudo_rob.oldest()
         if inst is None:
-            return True
+            return
         retire_class, move_root = self._classify_retirement(inst)
         if move_root is not None:
             if self.sliq is None or self.sliq.is_full:
@@ -860,7 +854,6 @@ class OoOCommitPipeline(PipelineBase):
             queue: InstructionQueue = inst.iq
             queue.remove(inst)
             self.sliq.insert(inst, move_root, self.cycle)
-        return True
 
     def _classify_retirement(self, inst: DynInst) -> Tuple[RetireClass, Optional[int]]:
         """Figure-12 classification of a pseudo-ROB retiree.
@@ -1088,18 +1081,32 @@ class OoOCommitPipeline(PipelineBase):
         if self._draining is not None:
             self._drain_stores()
             return
-        oldest = self.checkpoints.oldest()
-        if oldest is None or not oldest.ready_to_commit:
+        oldest = self._checkpoint_to_commit()
+        if oldest is None:
             return
         if not oldest.closed:
-            if not self._end_of_trace():
-                return
             # Close the final window: harvest its pending frees now.
             oldest.to_free |= self.renamer.harvest_future_free()
             oldest.closed = True
         self._draining = oldest
         self._drain_position = 0
         self._drain_stores()
+
+    def _checkpoint_to_commit(self) -> Optional[Checkpoint]:
+        """The oldest checkpoint if commit starts draining it now, else ``None``.
+
+        Its instructions must all have completed, and its window must be
+        closed by a younger checkpoint or, for the last one, by the end
+        of the trace.
+        """
+        oldest = self.checkpoints.oldest()
+        if (
+            oldest is not None
+            and oldest.ready_to_commit
+            and (oldest.closed or self._end_of_trace())
+        ):
+            return oldest
+        return None
 
     def _end_of_trace(self) -> bool:
         return self.frontend.exhausted and not self.fetch_buffer
@@ -1137,10 +1144,6 @@ class OoOCommitPipeline(PipelineBase):
                 continue
             inst.state = InstState.COMMITTED
             inst.commit_cycle = self.cycle
-            if inst.instr.raises_exception:
-                # Exceptions were delivered at the careful-mode completion;
-                # nothing more to do here.
-                pass
             self._retire_from_window(inst)
         committed_now = checkpoint.instruction_count
         popped = self.checkpoints.pop_oldest()
@@ -1155,73 +1158,57 @@ class OoOCommitPipeline(PipelineBase):
         if self.sliq is not None:
             self.sliq.step(self._reinsert_from_sliq, self.cycle)
             self.sliq.sample_occupancy()
-        # Pseudo-ROB retirement is normally driven by dispatch needing room,
-        # but when dispatch is stalled (full issue queue, full LSQ) the
-        # oldest entries must still drain so that dependent instructions
-        # clogging the issue queues can move to the SLIQ and make room for
-        # re-insertions — otherwise the machine can deadlock.
-        if (
-            self._dispatched_in_cycle == 0
-            and (self.int_queue.is_full or self.fp_queue.is_full)
-        ):
+        if self._dispatched_in_cycle == 0 and self._pseudo_rob_drain_due():
             for _ in range(self._fetch_width):
-                if self.pseudo_rob.is_empty or not self._retire_from_pseudo_rob():
+                self._retire_from_pseudo_rob()
+                if self.pseudo_rob.is_empty:
                     break
         self.pseudo_rob.sample_occupancy()
         self.checkpoints.sample_occupancy()
 
+    def _pseudo_rob_drain_due(self) -> bool:
+        """Whether a stalled dispatch leaves the pseudo-ROB drain work to do.
+
+        Pseudo-ROB retirement is normally driven by dispatch needing room,
+        but when dispatch is stalled behind a full issue queue the oldest
+        entries must still drain so that dependent instructions clogging
+        the issue queues can move to the SLIQ and make room for
+        re-insertions — otherwise the machine can deadlock.
+        """
+        return (self.int_queue.is_full or self.fp_queue.is_full) and not self.pseudo_rob.is_empty
+
     # -- event-driven kernel hooks ----------------------------------------------------
     def _idle_cycle_effects(self) -> Optional[Tuple[Callable[[int], None], ...]]:
-        """Next-cycle no-op check for the checkpointed machine.
+        """Next-cycle no-op check built from the stages' own verdicts.
 
         Skipping is refused whenever any of this machine's engines has
-        per-cycle work: a draining checkpoint, an oldest checkpoint that
-        will start committing, a non-empty SLIQ re-insertion stream, the
-        stalled-dispatch pseudo-ROB drain, or a dispatch that would
-        create a checkpoint / retire pseudo-ROB entries / move the fetch
-        head into the window.  The returned effects replicate the stall
-        counters an idle dispatch attempt bumps, in stage order.
+        per-cycle work: a draining checkpoint, one that
+        :meth:`_checkpoint_to_commit` would start draining, a non-empty
+        SLIQ re-insertion stream, a due :meth:`_pseudo_rob_drain_due`, or
+        a dispatch that would open a checkpoint (:meth:`_needs_checkpoint`
+        with room in the table), retire pseudo-ROB entries or move the
+        fetch head into the window (:meth:`_dispatch_stall`).  The effects
+        are the stall counters that dispatch bumps for the same head, in
+        stage order.
         """
-        if self._draining is not None:
+        if self._draining is not None or self._checkpoint_to_commit() is not None:
             return None
-        oldest = self.checkpoints.oldest()
-        if (
-            oldest is not None
-            and oldest.ready_to_commit
-            and (oldest.closed or self._end_of_trace())
-        ):
-            return None  # commit starts draining this checkpoint next cycle
         if self.sliq is not None and self.sliq.reinsert_pending:
             return None
-        if (self.int_queue.is_full or self.fp_queue.is_full) and not self.pseudo_rob.is_empty:
-            return None  # the stalled-dispatch pseudo-ROB drain runs every cycle
+        if self._pseudo_rob_drain_due():
+            return None
         if not self.fetch_buffer:
             return ()
         inst = self.fetch_buffer[0]
-        effects: List[Callable[[int], None]] = []
-        need = (
-            self.checkpoints.is_empty
-            or self.policy.should_checkpoint(inst)
-            or inst.trace_index in self._careful_indices
-        )
-        if need:
-            if not self.checkpoints.is_full:
-                return None  # dispatch would open a checkpoint
-            effects.append(self.checkpoints.note_full_stall)
+        needs_checkpoint = self._needs_checkpoint(inst)
+        if needs_checkpoint and not self.checkpoints.is_full:
+            return None  # dispatch would open a checkpoint
         if self.pseudo_rob.is_full:
             return None  # dispatch would retire pseudo-ROB entries
-        queue = self._queue_for(inst)
-        if queue.is_full:
-            effects.append(queue.note_full_stall)
-            effects.append(self._dispatch_stalls.add)
-        elif inst.is_memory and self.lsq.is_full:
-            effects.append(self.lsq.note_full_stall)
-            effects.append(self._dispatch_stalls.add)
-        elif not self.renamer.can_rename(inst):
-            effects.append(self._dispatch_stalls.add)
-        else:
-            return None  # dispatch would make progress
-        return tuple(effects)
+        stall = self._dispatch_stall(inst, self._queue_for(inst))
+        if stall is None or not needs_checkpoint:
+            return stall  # None: dispatch would make progress
+        return (self.checkpoints.note_full_stall, *stall)
 
     def _extra_idle_work(self, cycles: int) -> None:
         if self.sliq is not None:

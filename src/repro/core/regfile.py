@@ -12,7 +12,7 @@ live values.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterable, List, Optional, Set
+from typing import Deque, Iterable, List, Set
 
 from ..common.errors import RenameError
 from ..common.stats import StatsRegistry
@@ -100,10 +100,6 @@ class PhysicalRegisterFile:
     def set_ready(self, reg: int) -> None:
         self._check(reg)
         self._ready[reg] = True
-
-    def clear_ready(self, reg: int) -> None:
-        self._check(reg)
-        self._ready[reg] = False
 
     def is_ready(self, reg: int) -> bool:
         self._check(reg)

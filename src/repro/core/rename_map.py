@@ -13,7 +13,7 @@ polluted by speculation and needs no shadow copies.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..common.errors import RenameError
 from ..common.stats import StatsRegistry
@@ -48,10 +48,6 @@ class MapTableRenamer:
     def mapping(self, logical: int) -> int:
         """Current physical register of ``logical``."""
         return self._map[logical]
-
-    def mappings(self) -> Dict[int, int]:
-        """Copy of the whole map table."""
-        return {logical: phys for logical, phys in enumerate(self._map)}
 
     def can_rename(self, inst: DynInst) -> bool:
         """True if a free destination register is available (or none is needed)."""

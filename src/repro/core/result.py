@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..common.config import ProcessorConfig
 from ..common.stats import StatsRegistry, ratio
@@ -144,10 +144,6 @@ class SimulationResult:
     @property
     def checkpoints_created(self) -> float:
         return self.stat("checkpoint.created")
-
-    @property
-    def checkpoint_rollbacks(self) -> float:
-        return self.stat("checkpoint.rollbacks")
 
     def pseudo_rob_breakdown(self) -> Dict[str, float]:
         """Fractions of each retirement class (Figure 12)."""

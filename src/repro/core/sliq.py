@@ -240,9 +240,6 @@ class SlowLaneQueue:
                 matched.append(inst)
         self._push_stream(matched)
 
-    # Backwards-compatible alias used by older call sites and tests.
-    notify_root_complete = notify_ready
-
     def _push_stream(self, insts: List[DynInst]) -> None:
         if not insts:
             return

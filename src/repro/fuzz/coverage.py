@@ -23,7 +23,7 @@ specs, same signatures — the property the acceptance gate checks.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from ..core.result import SimulationResult
 
@@ -35,7 +35,6 @@ STALL_SOURCES: Tuple[Tuple[str, str], ...] = (
     ("lsq", "lsq.full_stalls"),
     ("sliq", "sliq.full_stalls"),
     ("checkpoint", "checkpoint.full_stalls"),
-    ("mispredict", "fetch.mispredict_stall_cycles"),
 )
 
 #: Upper edges of the mean-in-flight occupancy bands (powers of four).
@@ -95,10 +94,6 @@ class CoverageMap:
 
     def to_dict(self) -> Dict[str, int]:
         return {signature: self._counts[signature] for signature in sorted(self._counts)}
-
-    def merge(self, signatures: Iterable[str]) -> int:
-        """Bulk-add signatures (e.g. from a saved corpus); returns #novel."""
-        return sum(1 for signature in signatures if self.add(signature))
 
     def digest(self) -> str:
         """A stable hash of the signature *set* — the campaign's coverage

@@ -135,7 +135,6 @@ class InstState(enum.Enum):
 
     FETCHED = "fetched"
     DISPATCHED = "dispatched"
-    ISSUED = "issued"
     EXECUTING = "executing"
     DONE = "done"
     COMMITTED = "committed"

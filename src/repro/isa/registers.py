@@ -70,11 +70,6 @@ def all_fp_regs() -> List[int]:
     return list(range(FP_BASE, FP_BASE + NUM_FP_REGS))
 
 
-def registers_of_class(fp: bool) -> List[int]:
-    """All logical register ids of one class."""
-    return all_fp_regs() if fp else all_int_regs()
-
-
 def validate_regs(regs: Iterable[int]) -> None:
     """Raise ``ValueError`` if any id in ``regs`` is out of range."""
     for reg in regs:

@@ -27,11 +27,6 @@ class AccessResult:
     l2_miss: bool
     dl1_miss: bool
 
-    @property
-    def ready_after(self) -> int:
-        """Alias for latency, for readability at call sites."""
-        return self.latency
-
 
 class CacheHierarchy:
     """Two-level data hierarchy plus an instruction L1, as in Table 1."""
@@ -239,7 +234,7 @@ class CacheHierarchy:
         Covers exactly what functional warming evolves: tag/LRU/dirty
         state of all three caches, the prefetcher training table and the
         set of prefetched-but-untouched lines.  MSHR timers are excluded
-        by design — window boundaries :meth:`drain` them, so a warm
+        by design — :meth:`load_warm_state` clears them, so a restored
         snapshot never carries in-flight fills.
         """
         return {
@@ -264,19 +259,6 @@ class CacheHierarchy:
         if self.prefetcher is not None:
             self.prefetcher.load_warm_state(state.get("prefetcher"))
         self._prefetched_lines = {int(line) for line in state.get("prefetched_lines", ())}
-        self._dl1_mshr.clear()
-        self._l2_mshr.clear()
-
-    def drain(self) -> None:
-        """Complete every in-flight fill (cache contents are kept).
-
-        Called at sampled-execution window boundaries: each detailed
-        window starts a fresh cycle counter, so cycle-stamped MSHR
-        entries from the previous window must be treated as arrived.
-        The lines themselves were already installed at allocation time,
-        so dropping the timers is exactly "all outstanding fills have
-        landed".
-        """
         self._dl1_mshr.clear()
         self._l2_mshr.clear()
 

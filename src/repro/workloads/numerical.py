@@ -31,9 +31,6 @@ ARRAY_BASES = (0x1000_0000, 0x2000_0000, 0x3000_0000, 0x4000_0000)
 # Register conventions shared by the kernels.
 _INDEX = regs.int_reg(1)
 _LIMIT = regs.int_reg(2)
-_PTR_A = regs.int_reg(3)
-_PTR_B = regs.int_reg(4)
-_PTR_C = regs.int_reg(5)
 _TMP_INT = regs.int_reg(6)
 
 _SCALAR = regs.fp_reg(0)

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import WORKLOADS, build_machine, build_parser, main
+from repro.cli import build_machine, build_parser, main
+from repro.workloads.registry import workload_specs
 
 
 class TestParser:
@@ -90,9 +91,9 @@ class TestSimulateCommand:
         assert "fp_compute" in payload["results"]
 
     def test_all_cli_workloads_are_generators(self):
-        for name, generator in WORKLOADS.items():
-            trace = generator(20)
-            assert len(trace) > 0, name
+        for spec in workload_specs():
+            trace = spec.build(size=20)
+            assert len(trace) > 0, spec.name
 
 
 class TestExperimentCommand:
@@ -145,21 +146,6 @@ class TestWorkloadRegistryCli:
         out = capsys.readouterr().out
         assert "storm_even" in out
         assert "suite average IPC" in out
-
-    def test_workloads_view_is_live(self):
-        from repro.workloads.registry import register_workload, unregister_workload
-        from repro.workloads import daxpy
-
-        @register_workload("tmp_cli_view")
-        def tmp(size):
-            return daxpy(elements=max(4, size))
-
-        try:
-            assert "tmp_cli_view" in WORKLOADS
-            assert len(WORKLOADS["tmp_cli_view"](8)) > 0
-        finally:
-            unregister_workload("tmp_cli_view")
-        assert "tmp_cli_view" not in WORKLOADS
 
 
 class TestSuiteSweepCli:

@@ -10,6 +10,8 @@ semantics the kernel must preserve.
 """
 
 import argparse
+import hashlib
+import json
 
 import pytest
 
@@ -32,6 +34,28 @@ TRACE_SOURCES = [
     ("server-mix", lambda: get_suite("server-mix").members[0].build(0.05)),
     ("daxpy", lambda: daxpy(elements=120)),
 ]
+
+#: sha256 of each event-driven result's sorted JSON, pinned at simulator
+#: 1.1.0.  A change to a stall verdict that both kernels share moves
+#: both results alike, so equality alone would not see it; these do.
+RESULT_DIGESTS = {
+    ("baseline", "pointer-chase"): "d9e3608d2927d34603cf9fd20fe2c10a29770c7d9ea95e86108abc89cc734c3d",
+    ("baseline", "branch-storm"): "4c463263fbbc6b63da47551e94ca19832a5fbd874ef5a0a014e24a385edb4042",
+    ("baseline", "server-mix"): "c8468e3a96cdbae44175c5fd0b3393f612da7a96e80eb5287f63085591327b37",
+    ("baseline", "daxpy"): "c0c6646286445e5c4640a04edef620b064737e8846e7de732bce79f95b1ecb95",
+    ("cooo", "pointer-chase"): "c7a944db807b3e544bcf02c1445839d075ab03ce8c078f4eabfaeeabf4097acf",
+    ("cooo", "branch-storm"): "83e575c38da14938f5b0f1d8dc5608896bdad9b0173b879e0961308e072f7bf8",
+    ("cooo", "server-mix"): "f7769ecdf33781f5b1c25b92b568372a799712a4de15e3d2eeb28c963e4351b8",
+    ("cooo", "daxpy"): "95a33cf8a8d3669c51a68cda708a3c073d3f2b5f2899bb149d27e286a89019fa",
+    ("perfect-l2", "pointer-chase"): "6d6173b1401a23d0bb32bc2c52e2a055b4067f3d65332e7b5df6a9ef36b7d392",
+    ("perfect-l2", "branch-storm"): "5c9c50d4934a1d719a171511a9bab92256807612de6fa04f2ae8a25356e4dcbb",
+    ("perfect-l2", "server-mix"): "17e633cdfb114a7f35b4cd51cb39faa05e16c867e5468b91eae6fc5f0c8ef482",
+    ("perfect-l2", "daxpy"): "100d039f8bebcadb270f2c0c118d99fcc969df29773554e482f0ea99e77653fc",
+    ("unbounded-rob", "pointer-chase"): "172186cbc13a3e6dca340eecb6906f6c79448f428f75cbea49b70b97c2073c17",
+    ("unbounded-rob", "branch-storm"): "6fae7e0314781f2e28b0804c8d0059e114f6c9407fb7e974692bc74fdabb3180",
+    ("unbounded-rob", "server-mix"): "ea2ca7796c590a4fd35bf8bbe27d0eb9ce8e99170741730fb0ab59f16746fc71",
+    ("unbounded-rob", "daxpy"): "f2d7682d101375fbe54d3947fa53e93c1b1c75d57c1a8b8601defea694ddb6f7",
+}
 
 
 def machine_config(mode: str, memory_latency: int = 400) -> ProcessorConfig:
@@ -61,6 +85,8 @@ def test_event_driven_matches_per_cycle(mode, source):
     assert fast.to_dict() == slow.to_dict(), (
         f"{mode} on {source}: event-driven result diverged from per-cycle"
     )
+    digest = hashlib.sha256(json.dumps(fast.to_dict(), sort_keys=True).encode()).hexdigest()
+    assert digest == RESULT_DIGESTS[(mode, source)], f"{mode} on {source}: result changed"
 
 
 def test_occupancy_statistics_match_bit_for_bit():
