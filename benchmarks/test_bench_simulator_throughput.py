@@ -21,10 +21,9 @@ every host; the seconds are only printed.
 import time
 
 import pytest
-from conftest import run_once
+from conftest import cycle_counter, run_once
 
 from repro.api import run as simulate
-from repro.core.probes import CallbackProbe
 from repro.perf import BENCHMARKS
 
 _SPECS = {spec.name: spec for spec in BENCHMARKS}
@@ -69,17 +68,7 @@ def _stepped_and_skipped(name):
     spec = _SPECS[name]
     trace = spec.trace()
     config = spec.config()
-    stepped = skipped = 0
-
-    def count_stepped(pipeline):
-        nonlocal stepped
-        stepped += 1
-
-    def count_skipped(pipeline, cycles):
-        nonlocal skipped
-        skipped += cycles
-
-    probe = CallbackProbe(on_cycle=count_stepped, on_idle_cycles=count_skipped)
+    probe, counts = cycle_counter()
     started = time.perf_counter()
     fast = simulate(config, trace, probes=[probe])
     fast_seconds = time.perf_counter() - started
@@ -87,9 +76,9 @@ def _stepped_and_skipped(name):
     slow = simulate(config, trace, force_per_cycle=True)
     slow_seconds = time.perf_counter() - started
     assert fast.to_dict() == slow.to_dict(), f"{name}: event-driven result diverged from per-cycle"
-    print(f"\n{name}: stepped {stepped} of {fast.cycles} cycles; event-driven "
+    print(f"\n{name}: stepped {counts['stepped']} of {fast.cycles} cycles; event-driven "
           f"{fast_seconds:.3f}s vs per-cycle {slow_seconds:.3f}s")
-    return stepped, skipped, fast.cycles
+    return counts["stepped"], counts["skipped"], fast.cycles
 
 
 def test_bench_record_rows_are_machine_readable(tmp_path):

@@ -49,7 +49,7 @@ from .common.errors import (
 )
 from .common.stats import StatsRegistry
 from .core.pipeline import BaselinePipeline, OoOCommitPipeline, PipelineBase
-from .core.probes import CallbackProbe, OccupancyProbe, Probe
+from .core.probes import CallbackProbe, Probe
 from .core.registry_machines import (
     MachineSpec,
     create_pipeline,
@@ -67,6 +67,7 @@ from .trace.trace import Trace, TraceCursor
 from .workloads.registry import (
     WorkloadSpec,
     build_workload,
+    get_suite,
     get_workload,
     register_suite,
     register_workload,
@@ -74,7 +75,7 @@ from .workloads.registry import (
     workload_names,
 )
 from .workloads.scenario import Phase, Scenario, interleave
-from .workloads.suite import get_suite, integer_suite, spec2000fp_like
+from .workloads.suite import integer_suite, spec2000fp_like
 
 # The facade imports experiment modules lazily; importing it last keeps
 # the package import graph acyclic.
@@ -110,7 +111,6 @@ __all__ = [
     "OoOCommitPipeline",
     "PipelineBase",
     "CallbackProbe",
-    "OccupancyProbe",
     "Probe",
     "MachineSpec",
     "create_pipeline",

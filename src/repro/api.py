@@ -47,7 +47,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .common.config import ProcessorConfig, SamplingPlan
 from .common.stats import StatsRegistry
-from .core.probes import CallbackProbe, OccupancyProbe, Probe
+from .core.probes import CallbackProbe, Probe
 from .core.registry_machines import (
     MachineSpec,
     create_pipeline,
@@ -90,12 +90,9 @@ class Simulation:
 
     The constructor validates the config once; :meth:`run` builds a
     fresh pipeline per trace (simulations never share mutable state), so
-    one ``Simulation`` can be reused across a whole suite.
-
-    ``probes`` are attached *in addition to* the built-in default probes
-    (the occupancy accounting of Figures 7/11); pass
-    ``default_probes=False`` to run bare — the fastest configuration, at
-    the price of the occupancy statistics.
+    one ``Simulation`` can be reused across a whole suite.  ``probes``
+    observe every run; the occupancy statistics of Figures 7/11 are
+    recorded without any.
     """
 
     def __init__(
@@ -103,7 +100,6 @@ class Simulation:
         config: ProcessorConfig,
         *,
         probes: Sequence[Probe] = (),
-        default_probes: bool = True,
         max_cycles: Optional[int] = None,
         progress: Optional[ProgressFn] = None,
         progress_interval: int = DEFAULT_PROGRESS_INTERVAL,
@@ -117,7 +113,6 @@ class Simulation:
     ) -> None:
         self.config = config.validate()
         self.probes: List[Probe] = list(probes)
-        self.default_probes = default_probes
         self.max_cycles = max_cycles
         self.progress = progress
         if progress_interval < 1:
@@ -175,13 +170,7 @@ class Simulation:
 
     def pipeline(self, trace: Trace, stats: Optional[StatsRegistry] = None):
         """Build (but do not run) a pipeline — for step-by-step driving."""
-        return create_pipeline(
-            self.config,
-            trace,
-            stats,
-            probes=self.probes,
-            default_probes=self.default_probes,
-        )
+        return create_pipeline(self.config, trace, stats, probes=self.probes)
 
     def run(self, trace: Trace, max_cycles: Optional[int] = None) -> SimulationResult:
         """Simulate ``trace`` to completion (or early stop) on a fresh pipeline."""
@@ -207,7 +196,6 @@ class Simulation:
                     trace,
                     self.sampling,
                     probes=probes,
-                    default_probes=self.default_probes,
                     force_per_cycle=self.force_per_cycle,
                     max_cycles=max_cycles if max_cycles is not None else self.max_cycles,
                     progress=self.progress,
@@ -217,13 +205,7 @@ class Simulation:
                     checkpoint_dir=self.checkpoint_dir,
                     checkpoint_max_bytes=self.checkpoint_max_bytes,
                 )
-            pipeline = create_pipeline(
-                self.config,
-                trace,
-                None,
-                probes=probes,
-                default_probes=self.default_probes,
-            )
+            pipeline = create_pipeline(self.config, trace, None, probes=probes)
             return pipeline.run(
                 max_cycles=max_cycles if max_cycles is not None else self.max_cycles,
                 progress=self.progress,
@@ -246,7 +228,6 @@ def run(
     trace: Trace,
     *,
     probes: Sequence[Probe] = (),
-    default_probes: bool = True,
     max_cycles: Optional[int] = None,
     progress: Optional[ProgressFn] = None,
     progress_interval: int = DEFAULT_PROGRESS_INTERVAL,
@@ -262,7 +243,6 @@ def run(
     return Simulation(
         config,
         probes=probes,
-        default_probes=default_probes,
         max_cycles=max_cycles,
         progress=progress,
         progress_interval=progress_interval,
@@ -459,7 +439,6 @@ __all__ = [
     "DEFAULT_PROGRESS_INTERVAL",
     "CallbackProbe",
     "MachineSpec",
-    "OccupancyProbe",
     "Probe",
     "SamplingPlan",
     "Simulation",

@@ -8,7 +8,7 @@ from .iq import InstructionQueue, WakeupNetwork
 from .lsq import LoadStoreQueue
 from .machines import PerfectL2Pipeline, UnboundedROBPipeline
 from .pipeline import BaselinePipeline, OoOCommitPipeline, PipelineBase
-from .probes import CallbackProbe, OccupancyProbe, Probe, default_probes
+from .probes import CallbackProbe, Probe
 from .pseudo_rob import PseudoROB
 from .regfile import PhysicalPool, PhysicalRegisterFile
 from .registry_machines import (
@@ -29,9 +29,7 @@ __all__ = [
     "PerfectL2Pipeline",
     "UnboundedROBPipeline",
     "CallbackProbe",
-    "OccupancyProbe",
     "Probe",
-    "default_probes",
     "MachineSpec",
     "create_pipeline",
     "get_machine",

@@ -7,10 +7,10 @@ waiting instructions are notified directly, so the per-cycle cost does not
 depend on the queue size (important for simulating the paper's unbuildable
 4096-entry baseline queues at tolerable speed).
 
-The queue maintains its waiting population as a set alongside the
-resident set, so the pipeline's "who is still blocked on operands"
-queries (`waiting_residents`) and the event-driven kernel's "is anything
-selectable" query (`has_ready`) never scan the full queue.
+The queue maintains its waiting population as a set, so the pipeline's
+"youngest entry still blocked on operands" query (`youngest_waiting`)
+and the event-driven kernel's "is anything selectable" query
+(`has_ready`) never scan the full queue.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ class InstructionQueue:
         "name",
         "capacity",
         "_occupancy",
-        "_residents",
         "_waiting",
         "_ready_heap",
         "_tick",
@@ -94,7 +93,6 @@ class InstructionQueue:
         self.name = name
         self.capacity = capacity
         self._occupancy = 0
-        self._residents: Set[DynInst] = set()
         self._waiting: Set[DynInst] = set()
         self._ready_heap: List[tuple] = []
         # Heap tiebreak for same-seq entries (an instruction re-pushed by
@@ -140,7 +138,6 @@ class InstructionQueue:
         inst.in_iq = True
         inst.iq = self
         self._occupancy += 1
-        self._residents.add(inst)
         self._inserts.add()
         if pending:
             self._waiting.add(inst)
@@ -209,30 +206,24 @@ class InstructionQueue:
             return
         inst.in_iq = False
         self._occupancy -= 1
-        self._residents.discard(inst)
         self._waiting.discard(inst)
         if self._occupancy < 0:
             raise StructuralHazardError(f"{self.name}: occupancy underflow")
 
-    def residents(self) -> List[DynInst]:
-        """Snapshot of the instructions currently occupying this queue.
+    def youngest_waiting(self) -> Optional[DynInst]:
+        """The youngest resident that still has unready source operands, or None.
 
-        Ordered by sequence number, so callers that iterate (recovery,
-        probes) never observe hash-set iteration order.
+        One pass over the maintained waiting set (updated on
+        insert/wakeup/remove), so the query never scans the whole queue.
+        Sequence numbers are unique, so the answer does not depend on
+        set iteration order.
         """
-        return sorted(self._residents, key=lambda inst: inst.seq)
-
-    def waiting_residents(self) -> List[DynInst]:
-        """Residents that still have unready source operands, oldest first.
-
-        Backed by a maintained set (updated on insert/wakeup/remove), so
-        the query does not scan the whole queue.
-        """
-        return sorted(
-            (
-                inst
-                for inst in self._waiting
-                if inst.pending_srcs and inst.state is InstState.DISPATCHED
-            ),
-            key=lambda inst: inst.seq,
-        )
+        youngest = None
+        for inst in self._waiting:
+            if (
+                inst.pending_srcs
+                and inst.state is InstState.DISPATCHED
+                and (youngest is None or inst.seq > youngest.seq)
+            ):
+                youngest = inst
+        return youngest

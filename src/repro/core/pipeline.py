@@ -15,10 +15,15 @@ implement the parts the paper changes:
 
 Machines are registered in :mod:`repro.core.registry_machines`; further
 variants (``perfect-l2``, ``unbounded-rob``, user plugins) live in
-:mod:`repro.core.machines` and need no edits here.  Observation happens
-through :mod:`repro.core.probes`: the occupancy statistics behind
-Figures 7 and 11 are an :class:`~repro.core.probes.OccupancyProbe`
-attached by default.
+:mod:`repro.core.machines` and need no edits here.
+
+Window occupancy is pipeline state: :class:`PipelineBase` counts the
+instructions in flight and the live ones (dispatched, not yet issued),
+split for FP by whether they wait behind an L2 miss — the statistics
+behind Figures 7 and 11.  Every end-of-cycle occupancy is recorded by
+one method, ``_sample_cycles``, which a stepped cycle calls with 1 and
+the event-driven kernel with the length of each skipped span.  Outside
+observers attach through :mod:`repro.core.probes`.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from .frontend import FetchUnit
 from .fu import ExecutionUnits
 from .iq import InstructionQueue, WakeupNetwork
 from .lsq import LoadStoreQueue
-from .probes import PROBE_EVENTS, Probe, default_probes, hook_for
+from .probes import PROBE_EVENTS, Probe, hook_for
 from .pseudo_rob import PseudoROB
 from .regfile import PhysicalPool, PhysicalRegisterFile
 from .registry_machines import cooo_cli_config, register_machine
@@ -85,12 +90,13 @@ class PipelineBase:
         config: ProcessorConfig,
         trace: Trace,
         stats: Optional[StatsRegistry] = None,
-        probes: Optional[Sequence[Probe]] = None,
+        probes: Sequence[Probe] = (),
     ) -> None:
         config = self.effective_config(config)
         config.validate()
         self.config = config
         self.trace = trace
+        self.total_instructions = len(trace)
         self.stats = stats if stats is not None else StatsRegistry()
         self.cycle = 0
         self.hierarchy = CacheHierarchy(config.memory, self.stats)
@@ -116,10 +122,23 @@ class PipelineBase:
         self._fetch_buffer_cap = 2 * config.core.fetch_width
         self._issue_width = config.core.issue_width
 
-        # Probes: the occupancy/liveness accounting of Figures 7 and 11
-        # lives in the default OccupancyProbe; ``probes=None`` attaches it,
-        # an explicit (possibly empty) sequence replaces the defaults.
-        self.occupancy = None  # set by an attaching OccupancyProbe
+        # Window occupancy (Figures 7 and 11): instructions in flight, live
+        # ones (dispatched, not yet issued), the live FP ones split by
+        # whether they wait behind a long-latency load, and the physical
+        # registers such a load poisons.
+        self.in_flight = 0
+        self.live = 0
+        self.live_fp_long = 0
+        self.live_fp_short = 0
+        self.long_pregs: Set[int] = set()
+        stats = self.stats
+        self._in_flight_mean = stats.running_mean("occupancy.in_flight")
+        self._live_mean = stats.running_mean("occupancy.live")
+        self._live_fp_long_mean = stats.running_mean("occupancy.live_fp_long")
+        self._live_fp_short_mean = stats.running_mean("occupancy.live_fp_short")
+        self._in_flight_dist = stats.distribution("occupancy.in_flight_dist")
+        self._live_dist = stats.distribution("occupancy.live_dist")
+
         self._probes: List[Probe] = []
         #: Bulk idle-span hooks of skip-aware probes (see Probe.on_idle_cycles).
         self._hooks_idle_cycles: List[Callable] = []
@@ -128,7 +147,7 @@ class PipelineBase:
         self._per_cycle_only = False
         for event in PROBE_EVENTS:
             setattr(self, f"_hooks_{event[3:]}", [])
-        for probe in default_probes() if probes is None else probes:
+        for probe in probes:
             self.attach_probe(probe)
         self._exceptions_delivered = self.stats.counter("exceptions.delivered")
         self._dispatch_stalls = self.stats.counter("dispatch.stall_cycles")
@@ -152,8 +171,7 @@ class PipelineBase:
         A probe that overrides ``on_cycle`` but not ``on_idle_cycles``
         needs to see every simulated cycle, so its attachment switches
         the kernel to per-cycle stepping.  Skip-aware probes (both
-        overridden, like the default :class:`OccupancyProbe`) keep the
-        event-driven fast path.
+        overridden) keep the event-driven fast path.
         """
         self._probes.append(probe)
         probe.on_attach(self)
@@ -213,6 +231,12 @@ class PipelineBase:
     # -- squash bookkeeping shared by both machines ------------------------------
     def _squash_bookkeeping(self, inst: DynInst) -> None:
         """Release everything a squashed instruction occupies (except renaming)."""
+        if inst.dispatch_cycle is not None:
+            if inst.issue_cycle is None:
+                self._leave_live(inst)
+            self.in_flight -= 1
+        if inst.phys_dest is not None:
+            self.long_pregs.discard(inst.phys_dest)
         if self._hooks_squash:
             # Before teardown, so probes still see the state it died in.
             for hook in self._hooks_squash:
@@ -225,10 +249,6 @@ class PipelineBase:
         inst.mark_squashed()
 
     # -- top-level driver ---------------------------------------------------------
-    @property
-    def total_instructions(self) -> int:
-        return len(self.trace)
-
     def finished(self) -> bool:
         return self.committed >= self.total_instructions
 
@@ -313,10 +333,10 @@ class PipelineBase:
         self._dispatch_stage()
         self._fetch_stage()
         self._extra_cycle_work()
+        self._sample_cycles(1)
         if self._hooks_cycle:
             for hook in self._hooks_cycle:
                 hook(self)
-        self._sample_occupancy()
 
     # -- event-driven time advance ------------------------------------------------
     def _advance_past_idle(self, limit: Optional[int], progress_stride: int) -> None:
@@ -328,8 +348,8 @@ class PipelineBase:
         commit, SLIQ re-insertion, pseudo-ROB drain) can neither move an
         instruction nor mutate state.  An idle cycle still has per-cycle
         side effects — occupancy samples and stall counters — which stay
-        constant across the span, so they are applied in bulk by
-        :meth:`_account_idle_cycles` and the clock jumps straight to the
+        constant across the span, so :meth:`_account_idle_cycles` applies
+        them in bulk and the clock jumps straight to the
         earliest of:
 
         * the write-back heap head (memory completions included — MSHR
@@ -387,19 +407,13 @@ class PipelineBase:
         """
         return None
 
-    def _extra_idle_work(self, cycles: int) -> None:
-        """Bulk counterpart of :meth:`_extra_cycle_work` for skipped spans."""
-
     def _account_idle_cycles(
         self, cycles: int, effects: Tuple[Callable[[int], None], ...]
     ) -> None:
         """Apply the per-cycle side effects of ``cycles`` idle cycles at once."""
         for effect in effects:
             effect(cycles)
-        self.int_queue.sample_occupancy(cycles)
-        self.fp_queue.sample_occupancy(cycles)
-        self.lsq.sample_occupancy(cycles)
-        self._extra_idle_work(cycles)
+        self._sample_cycles(cycles)
         if self._hooks_idle_cycles:
             for hook in self._hooks_idle_cycles:
                 hook(self, cycles)
@@ -447,12 +461,38 @@ class PipelineBase:
         """Common bookkeeping when an instruction is dispatched."""
         inst.state = InstState.DISPATCHED
         inst.dispatch_cycle = self.cycle
+        self.in_flight += 1
+        self.live += 1
+        long_pregs = self.long_pregs
+        blocked_long = bool(long_pregs) and not long_pregs.isdisjoint(inst.phys_srcs)
+        if blocked_long and inst.phys_dest is not None:
+            long_pregs.add(inst.phys_dest)
+        live_class = None
+        if is_fp(inst.op):
+            if blocked_long:
+                live_class = "fp_long"
+                self.live_fp_long += 1
+            else:
+                live_class = "fp_short"
+                self.live_fp_short += 1
+        inst.live_class = live_class
         if self._hooks_dispatch:
             for hook in self._hooks_dispatch:
                 hook(self, inst)
 
+    def _leave_live(self, inst: DynInst) -> None:
+        """``inst`` stops being live: it issued or is being squashed unissued."""
+        self.live -= 1
+        live_class = inst.live_class
+        if live_class == "fp_long":
+            self.live_fp_long -= 1
+        elif live_class == "fp_short":
+            self.live_fp_short -= 1
+        inst.live_class = None
+
     def _retire_from_window(self, inst: DynInst) -> None:
-        """An instruction retired architecturally (probe notification)."""
+        """An instruction retired architecturally."""
+        self.in_flight -= 1
         if self._hooks_commit:
             for hook in self._hooks_commit:
                 hook(self, inst)
@@ -493,8 +533,13 @@ class PipelineBase:
         inst.state = InstState.EXECUTING
         inst.issue_cycle = cycle
         completion = cycle + self._execution_time(inst)
+        # After _execution_time, so the L2-miss verdict is known: a load
+        # that misses poisons its destination, and consumers dispatched
+        # from here on count as blocked-long.
+        self._leave_live(inst)
+        if inst.l2_miss and inst.phys_dest is not None:
+            self.long_pregs.add(inst.phys_dest)
         if self._hooks_issue:
-            # After _execution_time, so probes see the L2-miss verdict.
             for hook in self._hooks_issue:
                 hook(self, inst)
         heapq.heappush(self._writeback_heap, (completion, inst.seq, inst))
@@ -543,6 +588,7 @@ class PipelineBase:
             self.regfile.set_ready(phys_dest)
             for waiter in self.wakeup.notify_ready(phys_dest):
                 waiter.iq.mark_ready(waiter)
+            self.long_pregs.discard(phys_dest)
         if self._hooks_complete:
             for hook in self._hooks_complete:
                 hook(self, inst)
@@ -558,11 +604,27 @@ class PipelineBase:
         return True
 
     # -- occupancy sampling ------------------------------------------------------------------------
-    def _sample_occupancy(self) -> None:
-        """Per-structure occupancy; window occupancy lives in OccupancyProbe."""
-        self.int_queue.sample_occupancy()
-        self.fp_queue.sample_occupancy()
-        self.lsq.sample_occupancy()
+    def _sample_cycles(self, cycles: int) -> None:
+        """Record every end-of-cycle occupancy, weighted by ``cycles``.
+
+        :meth:`step` calls this with 1 and :meth:`_account_idle_cycles`
+        with the length of a skipped span.  Nothing enters or leaves a
+        structure during an idle span, so its samples are the current
+        values repeated ``cycles`` times, and the weighted forms
+        accumulate exactly what per-cycle sampling would.  Machines
+        extend this with their own structures.
+        """
+        self.int_queue.sample_occupancy(cycles)
+        self.fp_queue.sample_occupancy(cycles)
+        self.lsq.sample_occupancy(cycles)
+        in_flight = self.in_flight
+        live = self.live
+        self._in_flight_mean.sample_many(in_flight, cycles)
+        self._live_mean.sample_many(live, cycles)
+        self._live_fp_long_mean.sample_many(self.live_fp_long, cycles)
+        self._live_fp_short_mean.sample_many(self.live_fp_short, cycles)
+        self._in_flight_dist.sample(in_flight, cycles)
+        self._live_dist.sample(live, cycles)
 
     # -- bookkeeping --------------------------------------------------------------------------------
     def _note_commit(self, count: int = 1) -> None:
@@ -575,7 +637,6 @@ class PipelineBase:
                 self.commit_mark_records.append((marks.pop(0), self.cycle, self.fetched))
 
     def _deadlock_report(self) -> str:
-        in_flight = self.occupancy.in_flight if self.occupancy is not None else "n/a"
         # Report the simulated-cycle span without commit progress, not a
         # loop-iteration count: under the event-driven kernel one driver
         # iteration can cover thousands of simulated cycles, and the span
@@ -586,7 +647,7 @@ class PipelineBase:
             f"{stalled_span} simulated cycles "
             f"(threshold {self.config.deadlock_cycles}) at cycle {self.cycle}: "
             f"committed={self.committed}/{self.total_instructions}, "
-            f"in_flight={in_flight}, int_iq={self.int_queue.occupancy}, "
+            f"in_flight={self.in_flight}, int_iq={self.int_queue.occupancy}, "
             f"fp_iq={self.fp_queue.occupancy}, lsq={self.lsq.occupancy}, "
             f"fetch_buffer={len(self.fetch_buffer)}"
         )
@@ -604,7 +665,7 @@ class BaselinePipeline(PipelineBase):
         config: ProcessorConfig,
         trace: Trace,
         stats: Optional[StatsRegistry] = None,
-        probes: Optional[Sequence[Probe]] = None,
+        probes: Sequence[Probe] = (),
     ) -> None:
         super().__init__(config, trace, stats, probes)
         config = self.config  # the effective config (variant machines force fields)
@@ -680,9 +741,6 @@ class BaselinePipeline(PipelineBase):
             branch.trace_index + 1, self.cycle + self.config.branch.penalty
         )
 
-    def _extra_cycle_work(self) -> None:
-        self._rob_occupancy_mean.sample(self.rob.occupancy)
-
     # -- event-driven kernel hooks ----------------------------------------------------
     def _idle_cycle_effects(self) -> Optional[Tuple[Callable[[int], None], ...]]:
         """Next-cycle no-op check built from the stages' own verdicts.
@@ -701,7 +759,8 @@ class BaselinePipeline(PipelineBase):
         inst = self.fetch_buffer[0]
         return self._rob_stall() or self._dispatch_stall(inst, self._queue_for(inst))
 
-    def _extra_idle_work(self, cycles: int) -> None:
+    def _sample_cycles(self, cycles: int) -> None:
+        super()._sample_cycles(cycles)
         self._rob_occupancy_mean.sample_many(self.rob.occupancy, cycles)
 
 
@@ -720,7 +779,7 @@ class OoOCommitPipeline(PipelineBase):
         config: ProcessorConfig,
         trace: Trace,
         stats: Optional[StatsRegistry] = None,
-        probes: Optional[Sequence[Probe]] = None,
+        probes: Sequence[Probe] = (),
     ) -> None:
         super().__init__(config, trace, stats, probes)
         config = self.config  # the effective config (variant machines force fields)
@@ -732,6 +791,10 @@ class OoOCommitPipeline(PipelineBase):
             SlowLaneQueue(config.sliq, self.stats, ready_fn=self.regfile.is_ready)
             if config.sliq.enabled
             else None
+        )
+        #: The SLIQ's occupancy sample as an idle effect (see _extra_cycle_work).
+        self._sliq_sample: Tuple[Callable[[int], None], ...] = (
+            (self.sliq.sample_occupancy,) if self.sliq is not None else ()
         )
         self.tracker = LongLatencyTracker()
         self._draining: Optional[Checkpoint] = None
@@ -1157,14 +1220,19 @@ class OoOCommitPipeline(PipelineBase):
     def _extra_cycle_work(self) -> None:
         if self.sliq is not None:
             self.sliq.step(self._reinsert_from_sliq, self.cycle)
+            # Sampled here, before the drain below can move entries into
+            # the SLIQ; a skipped span applies it as an idle effect.
             self.sliq.sample_occupancy()
         if self._dispatched_in_cycle == 0 and self._pseudo_rob_drain_due():
             for _ in range(self._fetch_width):
                 self._retire_from_pseudo_rob()
                 if self.pseudo_rob.is_empty:
                     break
-        self.pseudo_rob.sample_occupancy()
-        self.checkpoints.sample_occupancy()
+
+    def _sample_cycles(self, cycles: int) -> None:
+        super()._sample_cycles(cycles)
+        self.pseudo_rob.sample_occupancy(cycles)
+        self.checkpoints.sample_occupancy(cycles)
 
     def _pseudo_rob_drain_due(self) -> bool:
         """Whether a stalled dispatch leaves the pseudo-ROB drain work to do.
@@ -1189,7 +1257,8 @@ class OoOCommitPipeline(PipelineBase):
         with room in the table), retire pseudo-ROB entries or move the
         fetch head into the window (:meth:`_dispatch_stall`).  The effects
         are the stall counters that dispatch bumps for the same head, in
-        stage order.
+        stage order, then the SLIQ occupancy sample that
+        :meth:`_extra_cycle_work` takes each stepped cycle.
         """
         if self._draining is not None or self._checkpoint_to_commit() is not None:
             return None
@@ -1198,7 +1267,7 @@ class OoOCommitPipeline(PipelineBase):
         if self._pseudo_rob_drain_due():
             return None
         if not self.fetch_buffer:
-            return ()
+            return self._sliq_sample
         inst = self.fetch_buffer[0]
         needs_checkpoint = self._needs_checkpoint(inst)
         if needs_checkpoint and not self.checkpoints.is_full:
@@ -1206,15 +1275,11 @@ class OoOCommitPipeline(PipelineBase):
         if self.pseudo_rob.is_full:
             return None  # dispatch would retire pseudo-ROB entries
         stall = self._dispatch_stall(inst, self._queue_for(inst))
-        if stall is None or not needs_checkpoint:
-            return stall  # None: dispatch would make progress
-        return (self.checkpoints.note_full_stall, *stall)
-
-    def _extra_idle_work(self, cycles: int) -> None:
-        if self.sliq is not None:
-            self.sliq.sample_occupancy(cycles)
-        self.pseudo_rob.sample_occupancy(cycles)
-        self.checkpoints.sample_occupancy(cycles)
+        if stall is None:
+            return None  # dispatch would make progress
+        if needs_checkpoint:
+            stall = (self.checkpoints.note_full_stall, *stall)
+        return stall + self._sliq_sample
 
     def _reinsert_from_sliq(self, inst: DynInst):
         """Callback used by the SLIQ re-insertion engine.
@@ -1250,10 +1315,9 @@ class OoOCommitPipeline(PipelineBase):
         """
         if self.sliq is None:
             return False
-        waiting = queue.waiting_residents()
-        if not waiting:
+        victim = queue.youngest_waiting()
+        if victim is None:
             return False
-        victim = max(waiting, key=lambda entry: entry.seq)
         pending = [p for p in victim.phys_srcs if not self.regfile.is_ready(p)]
         if not pending:
             return False

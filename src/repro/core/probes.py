@@ -31,21 +31,16 @@ back from them, so attaching any combination of probes cannot change
 cycles, IPC, or any functional statistic.  The pipeline binds only the
 hooks a probe actually overrides, and each emission site is guarded by
 an emptiness check — with no probes attached the per-event cost is a
-single falsy test (the "no-probe fast path" guarded by
-``benchmarks/test_bench_probe_overhead.py``).
-
-The occupancy/liveness accounting behind Figures 7 and 11 is itself a
-probe (:class:`OccupancyProbe`) that pipelines attach by default, so a
-default-constructed machine produces exactly the statistics it always
-has.
+single falsy test, and a pipeline attaches none unless asked
+(``benchmarks/test_bench_probe_overhead.py`` counts the calls).  The
+window occupancy behind Figures 7 and 11 is pipeline state, not a probe.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Set
+from typing import Callable, Optional
 
 from ..isa.instruction import DynInst
-from ..isa.opcodes import is_fp
 
 
 class Probe:
@@ -68,8 +63,8 @@ class Probe:
 
         During an idle span no architectural state changes, so a
         sampling probe can integrate its current values with weight
-        ``cycles`` and remain bit-identical to per-cycle stepping (see
-        :class:`OccupancyProbe`).  Overriding this alongside
+        ``cycles`` and remain bit-identical to per-cycle stepping, as the
+        pipeline's own occupancy sampling does.  Overriding this alongside
         ``on_cycle`` declares the probe skip-aware; ``on_cycle`` still
         fires for every cycle the kernel actually steps.
         """
@@ -137,104 +132,3 @@ class CallbackProbe(Probe):
             raise TypeError(f"unknown probe events {unknown}; valid: {sorted(PROBE_EVENTS)}")
         for event, fn in callbacks.items():
             setattr(self, event, fn)
-
-
-class OccupancyProbe(Probe):
-    """Window occupancy and liveness accounting (Figures 7 and 11).
-
-    Tracks how many instructions are in flight, how many are *live*
-    (dispatched but not yet issued), and splits the live FP population
-    into blocked-behind-a-long-latency-load vs. short chains.  Attached
-    by default to every pipeline; its statistics
-    (``occupancy.in_flight``, ``occupancy.live`` and friends) feed
-    :class:`~repro.core.result.SimulationResult.mean_in_flight` and the
-    occupancy percentile analysis.
-    """
-
-    def on_attach(self, pipeline) -> None:
-        stats = pipeline.stats
-        self.in_flight = 0
-        self.live = 0
-        self.live_fp_long = 0
-        self.live_fp_short = 0
-        self.long_pregs: Set[int] = set()
-        self._in_flight_mean = stats.running_mean("occupancy.in_flight")
-        self._live_mean = stats.running_mean("occupancy.live")
-        self._live_fp_long_mean = stats.running_mean("occupancy.live_fp_long")
-        self._live_fp_short_mean = stats.running_mean("occupancy.live_fp_short")
-        self._in_flight_dist = stats.distribution("occupancy.in_flight_dist")
-        self._live_dist = stats.distribution("occupancy.live_dist")
-        # The deadlock report quotes the in-flight count when available.
-        pipeline.occupancy = self
-
-    def on_dispatch(self, pipeline, inst: DynInst) -> None:
-        self.in_flight += 1
-        self.live += 1
-        long_pregs = self.long_pregs
-        blocked_long = any(p in long_pregs for p in inst.phys_srcs)
-        if blocked_long and inst.phys_dest is not None:
-            long_pregs.add(inst.phys_dest)
-        live_class = None
-        if is_fp(inst.op):
-            live_class = "fp_long" if blocked_long else "fp_short"
-            if blocked_long:
-                self.live_fp_long += 1
-            else:
-                self.live_fp_short += 1
-        inst.live_class = live_class
-
-    def _leave_live(self, inst: DynInst) -> None:
-        self.live -= 1
-        live_class = inst.live_class
-        if live_class == "fp_long":
-            self.live_fp_long -= 1
-        elif live_class == "fp_short":
-            self.live_fp_short -= 1
-        inst.live_class = None
-
-    def on_issue(self, pipeline, inst: DynInst) -> None:
-        self._leave_live(inst)
-        # A load that just discovered an L2 miss poisons its destination:
-        # consumers dispatched from here on count as blocked-long.
-        if inst.l2_miss and inst.phys_dest is not None:
-            self.long_pregs.add(inst.phys_dest)
-
-    def on_complete(self, pipeline, inst: DynInst) -> None:
-        if inst.phys_dest is not None:
-            self.long_pregs.discard(inst.phys_dest)
-
-    def on_commit(self, pipeline, inst: DynInst) -> None:
-        self.in_flight -= 1
-
-    def on_squash(self, pipeline, inst: DynInst) -> None:
-        was_dispatched = inst.dispatch_cycle is not None
-        if was_dispatched and inst.issue_cycle is None:
-            self._leave_live(inst)
-        if was_dispatched:
-            self.in_flight -= 1
-        if inst.phys_dest is not None:
-            self.long_pregs.discard(inst.phys_dest)
-
-    def on_cycle(self, pipeline) -> None:
-        self._in_flight_mean.sample(self.in_flight)
-        self._live_mean.sample(self.live)
-        self._live_fp_long_mean.sample(self.live_fp_long)
-        self._live_fp_short_mean.sample(self.live_fp_short)
-        self._in_flight_dist.sample(self.in_flight)
-        self._live_dist.sample(self.live)
-
-    def on_idle_cycles(self, pipeline, cycles: int) -> None:
-        # Nothing enters or leaves the window during an idle span, so
-        # the per-cycle samples are the current values repeated
-        # ``cycles`` times; the weighted forms accumulate identically.
-        self._in_flight_mean.sample_many(self.in_flight, cycles)
-        self._live_mean.sample_many(self.live, cycles)
-        self._live_fp_long_mean.sample_many(self.live_fp_long, cycles)
-        self._live_fp_short_mean.sample_many(self.live_fp_short, cycles)
-        self._in_flight_dist.sample(self.in_flight, cycles)
-        self._live_dist.sample(self.live, cycles)
-
-
-def default_probes() -> List[Probe]:
-    """The probes every pipeline attaches unless told otherwise."""
-    return [OccupancyProbe()]

@@ -223,23 +223,6 @@ def get_machine(name: str) -> MachineSpec:
         ) from exc
 
 
-def create_pipeline(
-    config,
-    trace,
-    stats=None,
-    probes: Sequence = (),
-    *,
-    default_probes: bool = True,
-):
-    """Build the registered machine selected by ``config.mode``.
-
-    ``probes`` are attached on top of the built-in default probes
-    (occupancy accounting); pass ``default_probes=False`` for a bare
-    pipeline with no probes at all beyond ``probes`` — the fastest path,
-    at the price of the occupancy statistics.
-    """
-    from .probes import default_probes as _defaults
-
-    spec = get_machine(config.mode)
-    attached = (_defaults() if default_probes else []) + list(probes)
-    return spec.pipeline_class(config, trace, stats, probes=attached)
+def create_pipeline(config, trace, stats=None, probes: Sequence = ()):
+    """Build the registered machine selected by ``config.mode``, observed by ``probes``."""
+    return get_machine(config.mode).pipeline_class(config, trace, stats, probes=probes)

@@ -235,7 +235,6 @@ def _run_continuous(
     plan: SamplingPlan,
     *,
     probes: Sequence = (),
-    default_probes: bool = True,
     force_per_cycle: bool = False,
     max_cycles: Optional[int] = None,
     progress=None,
@@ -252,9 +251,7 @@ def _run_continuous(
     """
     import dataclasses
 
-    pipeline = create_pipeline(
-        config, trace, None, probes=probes, default_probes=default_probes
-    )
+    pipeline = create_pipeline(config, trace, None, probes=probes)
     total = len(trace)
     marks = list(range(plan.window, total, plan.window))
     span = (
@@ -460,7 +457,6 @@ class _WindowJob:
     windows: Sequence[Tuple[int, int, int]]
     snapshots: Sequence[Dict[str, Any]]
     probes: Sequence = ()
-    default_probes: bool = True
     force_per_cycle: bool = False
     max_cycles: Optional[int] = None
     progress: Any = None
@@ -499,7 +495,6 @@ class _WindowJob:
                 self.trace.slice(start, start + warmup + measure),
                 stats,
                 probes=self.probes,
-                default_probes=self.default_probes,
             )
             pipeline.adopt_warm_state(hierarchy, predictor, btb)
             result = pipeline.run(
@@ -528,7 +523,6 @@ def run_sampled(
     plan: SamplingPlan,
     *,
     probes: Sequence = (),
-    default_probes: bool = True,
     force_per_cycle: bool = False,
     max_cycles: Optional[int] = None,
     progress=None,
@@ -589,7 +583,6 @@ def run_sampled(
             trace,
             plan,
             probes=probes,
-            default_probes=default_probes,
             force_per_cycle=force_per_cycle,
             max_cycles=max_cycles,
             progress=progress,
@@ -639,7 +632,6 @@ def run_sampled(
         window_segments,
         snapshots,
         probes=probes,
-        default_probes=default_probes,
         force_per_cycle=force_per_cycle,
         max_cycles=max_cycles,
         progress=progress,

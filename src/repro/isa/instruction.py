@@ -208,7 +208,7 @@ class DynInst:
     sliq_enter_cycle: Optional[int] = None
     sliq_exit_cycle: Optional[int] = None
 
-    # Scheduler/probe bookkeeping (owned by iq/sliq/probes) ----------------
+    # Scheduler/occupancy bookkeeping (owned by iq/sliq/pipeline) ----------
     #: Physical source registers still unready (maintained by the issue queue).
     pending_srcs: Optional[Any] = None
     #: The issue queue currently (or last) holding this instruction.
@@ -217,7 +217,7 @@ class DynInst:
     sliq_wakeup_preg: Optional[int] = None
     #: Late allocation: the physical register was claimed at write-back.
     claimed_phys: bool = False
-    #: OccupancyProbe liveness class ("fp_long" / "fp_short" / None).
+    #: Liveness class the pipeline counts it under ("fp_long" / "fp_short" / None).
     live_class: Optional[str] = None
     #: Branch-history register as of fetching this instruction (gshare
     #: front ends only).  Checkpoints snapshot it so a rollback can

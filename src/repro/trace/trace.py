@@ -268,8 +268,10 @@ class TraceCursor:
 
     def __init__(self, trace: Trace, start: int = 0) -> None:
         self._trace = trace
-        if not 0 <= start <= len(trace):
-            raise TraceError(f"cursor start {start} out of range for trace of length {len(trace)}")
+        #: Traces are immutable, so their length is read once.
+        self._length = len(trace)
+        if not 0 <= start <= self._length:
+            raise TraceError(f"cursor start {start} out of range for trace of length {self._length}")
         self._position = start
 
     @property
@@ -284,17 +286,17 @@ class TraceCursor:
     @property
     def exhausted(self) -> bool:
         """True when every trace instruction has been handed out."""
-        return self._position >= len(self._trace)
+        return self._position >= self._length
 
     def peek(self) -> Optional[Instruction]:
         """The next instruction without advancing, or None at end of trace."""
-        if self.exhausted:
+        if self._position >= self._length:
             return None
         return self._trace[self._position]
 
     def fetch(self) -> Optional[Instruction]:
         """Return the next instruction and advance, or None at end of trace."""
-        if self.exhausted:
+        if self._position >= self._length:
             return None
         instr = self._trace[self._position]
         self._position += 1
@@ -315,15 +317,15 @@ class TraceCursor:
 
         ``index`` is the trace index of the next instruction to fetch.
         """
-        if not 0 <= index <= len(self._trace):
+        if not 0 <= index <= self._length:
             raise TraceError(
-                f"rewind target {index} out of range for trace of length {len(self._trace)}"
+                f"rewind target {index} out of range for trace of length {self._length}"
             )
         self._position = index
 
     def remaining(self) -> int:
         """Number of instructions not yet handed out."""
-        return len(self._trace) - self._position
+        return self._length - self._position
 
 
 def merge_traces(traces: Iterable[Trace], name: str = "merged") -> Trace:

@@ -29,6 +29,7 @@ from .registry import (
     SuiteSpec,
     WorkloadSpec,
     build_workload,
+    get_suite,
     get_workload,
     register_suite,
     register_workload,
@@ -43,10 +44,8 @@ from .scenario import Phase, Scenario, interleave, stream_rng, stream_seed
 from .suite import (
     INTEGER_LIKE,
     SPEC2000FP_LIKE,
-    SUITES,
     Suite,
     SuiteMember,
-    get_suite,
     integer_suite,
     spec2000fp_like,
 )
@@ -71,6 +70,7 @@ __all__ = [
     "SuiteSpec",
     "WorkloadSpec",
     "build_workload",
+    "get_suite",
     "get_workload",
     "register_suite",
     "register_workload",
@@ -87,10 +87,8 @@ __all__ = [
     "stream_seed",
     "INTEGER_LIKE",
     "SPEC2000FP_LIKE",
-    "SUITES",
     "Suite",
     "SuiteMember",
-    "get_suite",
     "integer_suite",
     "spec2000fp_like",
 ]

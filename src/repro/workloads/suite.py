@@ -9,9 +9,8 @@ benchmarks can trade fidelity against wall-clock time.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..trace.trace import Trace
 from . import integer, numerical, registry
@@ -127,30 +126,3 @@ INTEGER_LIKE = Suite(
 
 registry.register_suite(SPEC2000FP_LIKE)
 registry.register_suite(INTEGER_LIKE)
-
-
-class _SuiteView(Mapping):
-    """Live read-only mapping view over the suite registry.
-
-    Kept so code written against the original module-level ``SUITES``
-    dict (``sorted(SUITES)``, ``SUITES.items()``) keeps working while
-    runtime-registered suites appear automatically.
-    """
-
-    def __getitem__(self, name: str) -> Suite:
-        return registry.get_suite(name)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(registry.suite_names())
-
-    def __len__(self) -> int:
-        return len(registry.suite_names())
-
-
-#: Every registered suite, keyed by name (see :mod:`repro.workloads.registry`).
-SUITES: Mapping[str, Suite] = _SuiteView()
-
-
-def get_suite(name: str) -> Suite:
-    """Look up a registered suite by name (delegates to the registry)."""
-    return registry.get_suite(name)

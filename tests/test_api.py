@@ -8,7 +8,7 @@ from repro import api
 from repro.common.config import ProcessorConfig, cooo_config, scaled_baseline
 from repro.common.errors import ConfigurationError
 from repro.core.pipeline import BaselinePipeline, OoOCommitPipeline
-from repro.core.probes import PROBE_EVENTS, CallbackProbe, OccupancyProbe, Probe
+from repro.core.probes import PROBE_EVENTS, CallbackProbe, Probe
 from repro.core.registry_machines import (
     create_pipeline,
     get_machine,
@@ -62,7 +62,7 @@ class TestMachineRegistry:
 
         @register_machine("test-narrow", description="baseline at half commit width")
         class NarrowCommitPipeline(BaselinePipeline):
-            def __init__(self, config, trace, stats=None, probes=None):
+            def __init__(self, config, trace, stats=None, probes=()):
                 config = config.copy()
                 config.core.commit_width = max(1, config.core.commit_width // 2)
                 super().__init__(config, trace, stats, probes)
@@ -223,21 +223,28 @@ class TestProbes:
     def test_zero_probes_same_timing_without_occupancy_stats(
         self, fast_baseline_config, small_daxpy_trace
     ):
-        plain = api.run(fast_baseline_config, small_daxpy_trace)
-        bare = api.run(fast_baseline_config, small_daxpy_trace, default_probes=False)
-        assert bare.cycles == plain.cycles and bare.ipc == plain.ipc
-        assert plain.mean_in_flight > 0
-        assert "occupancy.in_flight.mean" not in bare.stats
+        # Occupancy is pipeline state, so a run with zero probes needs no
+        # occupancy probe for its stats and keeps the timing of an observed run.
+        bare = api.run(fast_baseline_config, small_daxpy_trace)
+        observed = api.run(
+            fast_baseline_config,
+            small_daxpy_trace,
+            probes=[CallbackProbe(on_cycle=lambda pipe: None)],
+        )
+        assert bare.cycles == observed.cycles and bare.ipc == observed.ipc
+        assert bare.mean_in_flight > 0
+        for name in ("occupancy.in_flight.mean", "occupancy.live.mean"):
+            assert bare.stats[name] == observed.stats[name]
 
     def test_occupancy_probe_reachable_from_pipeline(
         self, fast_baseline_config, small_daxpy_trace
     ):
         pipeline = create_pipeline(fast_baseline_config, small_daxpy_trace)
-        assert isinstance(pipeline.occupancy, OccupancyProbe)
-        assert pipeline.occupancy in pipeline.probes
-        pipeline.run()
-        assert pipeline.occupancy.in_flight == 0
-        assert pipeline.occupancy.live == 0
+        assert pipeline.probes == ()
+        result = pipeline.run()
+        assert result.mean_in_flight > 0
+        assert pipeline.in_flight == 0
+        assert pipeline.live == 0
 
     def test_callback_probe_and_late_attach(self, fast_baseline_config, small_daxpy_trace):
         commits = []
@@ -256,9 +263,7 @@ class TestProbes:
     def test_probe_events_are_dispatched_only_when_overridden(
         self, fast_baseline_config, small_daxpy_trace
     ):
-        pipeline = create_pipeline(
-            fast_baseline_config, small_daxpy_trace, default_probes=False
-        )
+        pipeline = create_pipeline(fast_baseline_config, small_daxpy_trace)
         for event in PROBE_EVENTS:
             assert getattr(pipeline, f"_hooks_{event[3:]}") == []
         pipeline.attach_probe(CallbackProbe(on_cycle=lambda pipe: None))

@@ -111,15 +111,22 @@ class TestInstructionQueue:
         assert woken_first.count(inst) <= 1
         assert woken_second == []
 
-    def test_waiting_residents(self, stats, prf):
+    def test_youngest_waiting(self, stats, prf):
         queue = InstructionQueue("iq", 4, stats)
         wakeup = WakeupNetwork()
-        ready = dyn(1)
-        waiting = dyn(2, phys_srcs=(7,))
-        queue.insert(ready, prf, wakeup)
-        queue.insert(waiting, prf, wakeup)
-        assert queue.waiting_residents() == [waiting]
-        assert set(queue.residents()) == {ready, waiting}
+        assert queue.youngest_waiting() is None
+        older = dyn(2, phys_srcs=(7,))
+        ready = dyn(5)
+        younger = dyn(3, phys_srcs=(8,))
+        for inst in (older, ready, younger):
+            queue.insert(inst, prf, wakeup)
+        assert queue.youngest_waiting() is younger
+        queue.remove(younger)
+        assert queue.youngest_waiting() is older
+        prf.set_ready(7)
+        for woken in wakeup.notify_ready(7):
+            queue.mark_ready(woken)
+        assert queue.youngest_waiting() is None
 
 
 class TestPseudoROB:

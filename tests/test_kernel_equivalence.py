@@ -27,6 +27,14 @@ from repro.workloads import daxpy, get_suite, pointer_chase
 #: the registered variants), built through each machine's CLI profile.
 MACHINES = machine_names()
 
+#: Extra configurations pinned alongside the registered machines, as
+#: ``(mode, CLI knob overrides)``.  Late allocation over 96 physical
+#: registers makes write-back claim registers, retry when the pool is
+#: empty and force claims for the oldest checkpoint.
+VARIANTS = {
+    "cooo-late-alloc": ("cooo", {"late_allocation": True, "physical_registers": 96}),
+}
+
 #: One small trace from each scenario suite (PR 3) plus the FP regime.
 TRACE_SOURCES = [
     ("pointer-chase", lambda: get_suite("pointer-chase").members[0].build(0.05)),
@@ -55,10 +63,14 @@ RESULT_DIGESTS = {
     ("unbounded-rob", "branch-storm"): "6fae7e0314781f2e28b0804c8d0059e114f6c9407fb7e974692bc74fdabb3180",
     ("unbounded-rob", "server-mix"): "ea2ca7796c590a4fd35bf8bbe27d0eb9ce8e99170741730fb0ab59f16746fc71",
     ("unbounded-rob", "daxpy"): "f2d7682d101375fbe54d3947fa53e93c1b1c75d57c1a8b8601defea694ddb6f7",
+    ("cooo-late-alloc", "pointer-chase"): "ef05010e87361f7594c8a0450160fb3b5d99527d0ff616e57c8462db7ec359c3",
+    ("cooo-late-alloc", "branch-storm"): "7fd9c447802bd8a7423160b42fed06949fb7db3c142edaf20e3ecd76481a7d9b",
+    ("cooo-late-alloc", "server-mix"): "43780282311f28b07ade18dbbc0d41f1600bccca9787e3e8511a08efd594a85f",
+    ("cooo-late-alloc", "daxpy"): "16b8c3bd593e0dfef7a04b2f7dcc7afe1ca3ea36b156a8bbab1b06c7ec0a98bd",
 }
 
 
-def machine_config(mode: str, memory_latency: int = 400) -> ProcessorConfig:
+def machine_config(mode: str, memory_latency: int = 400, **knobs) -> ProcessorConfig:
     """A small config for ``mode`` via its registered CLI profile."""
     args = argparse.Namespace(
         window=256,
@@ -72,14 +84,16 @@ def machine_config(mode: str, memory_latency: int = 400) -> ProcessorConfig:
         perfect_l2=False,
         late_allocation=False,
     )
+    vars(args).update(knobs)
     return get_machine(mode).build_cli_config(args)
 
 
-@pytest.mark.parametrize("mode", MACHINES)
+@pytest.mark.parametrize("mode", MACHINES + list(VARIANTS))
 @pytest.mark.parametrize("source", [name for name, _ in TRACE_SOURCES])
 def test_event_driven_matches_per_cycle(mode, source):
     trace = dict(TRACE_SOURCES)[source]()
-    config = machine_config(mode)
+    base_mode, knobs = VARIANTS.get(mode, (mode, {}))
+    config = machine_config(base_mode, **knobs)
     fast = api.run(config, trace)
     slow = api.run(config, trace, force_per_cycle=True)
     assert fast.to_dict() == slow.to_dict(), (

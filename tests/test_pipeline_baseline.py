@@ -141,8 +141,8 @@ class TestAccountingInvariants:
     def test_in_flight_returns_to_zero(self, fast_baseline_config, small_daxpy_trace):
         pipeline = create_pipeline(fast_baseline_config, small_daxpy_trace)
         pipeline.run()
-        assert pipeline.occupancy.in_flight == 0
-        assert pipeline.occupancy.live == 0
+        assert pipeline.in_flight == 0
+        assert pipeline.live == 0
         assert pipeline.rob.is_empty
 
     def test_all_registers_recoverable(self, fast_baseline_config, small_daxpy_trace):

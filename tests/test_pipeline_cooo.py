@@ -52,7 +52,7 @@ class TestCheckpointing:
         committed = result.stat("checkpoint.committed")
         assert created >= len(small_daxpy_trace) / 600
         assert committed >= created - fast_cooo_config.checkpoint.table_size
-        assert pipeline.occupancy.in_flight == 0
+        assert pipeline.in_flight == 0
 
     def test_checkpoint_occupancy_bounded_by_table(self, small_daxpy_trace):
         config = cooo_config(iq_size=16, sliq_size=128, checkpoints=4, memory_latency=100)
@@ -171,7 +171,7 @@ class TestRecovery:
         pipeline.run()
         assert pipeline.regfile.in_use_count >= regs.NUM_LOGICAL_REGS
         # nothing left in flight
-        assert pipeline.occupancy.in_flight == 0
+        assert pipeline.in_flight == 0
         assert pipeline.int_queue.occupancy == 0
         assert pipeline.fp_queue.occupancy == 0
         assert pipeline.lsq.occupancy == 0

@@ -20,7 +20,7 @@ from repro.workloads.registry import (
     workload_names,
     workload_specs,
 )
-from repro.workloads.suite import SUITES, Suite, SuiteMember
+from repro.workloads.suite import Suite, SuiteMember
 
 BUILTIN_WORKLOADS = {
     "daxpy",
@@ -145,17 +145,6 @@ class TestSuiteRegistry:
         message = excinfo.value.args[0]
         assert "spec2017" in message
         assert "spec2000fp_like" in message
-
-    def test_suites_view_tracks_registry(self):
-        member = SuiteMember("only", lambda n: daxpy(elements=max(4, n)), 64)
-        register_suite(Suite("tmp-view-suite", [member]), description="ephemeral")
-        try:
-            assert "tmp-view-suite" in SUITES
-            assert SUITES["tmp-view-suite"].names() == ["only"]
-            assert "tmp-view-suite" in sorted(SUITES)
-        finally:
-            unregister_suite("tmp-view-suite")
-        assert "tmp-view-suite" not in SUITES
 
     def test_register_suite_as_decorator(self):
         @register_suite(description="factory registered")
