@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
 
 from ..common.config import FunctionalUnitConfig
 from ..common.stats import StatsRegistry
@@ -40,7 +40,7 @@ class FunctionalUnitPool:
 class ExecutionUnits:
     """All pools of the machine plus the latency lookup."""
 
-    __slots__ = ("fu_config", "_pools")
+    __slots__ = ("fu_config", "_pools", "_by_op")
 
     def __init__(
         self,
@@ -56,21 +56,32 @@ class ExecutionUnits:
             FUType.FP: FunctionalUnitPool("fp", fu_config.fp_count, stats),
             FUType.MEM_PORT: FunctionalUnitPool("mem_port", memory_ports, stats),
         }
+        #: ``op._value_`` -> (pool or None, cycles a unit stays busy,
+        #: latency), derived once from ``FU_FOR_OP``, ``is_pipelined`` and
+        #: ``execution_latency``: an ``OpClass`` key would hash through the
+        #: Python-level ``Enum.__hash__`` on every issue.
+        self._by_op: Dict[str, Tuple[Optional[FunctionalUnitPool], int, int]] = {}
+        for op in OpClass:
+            latency = execution_latency(op, fu_config)
+            self._by_op[op._value_] = (
+                self._pools.get(FU_FOR_OP[op]),
+                1 if is_pipelined(op) else latency,
+                latency,
+            )
 
     def pool_for(self, op: OpClass) -> FUType:
         return FU_FOR_OP[op]
 
     def latency(self, op: OpClass) -> int:
         """Execution latency of ``op`` excluding any cache/memory time."""
-        return execution_latency(op, self.fu_config)
+        return self._by_op[op._value_][2]
 
     def try_issue(self, op: OpClass, cycle: int) -> bool:
         """Reserve a unit for ``op`` issuing at ``cycle``; False on a structural hazard."""
-        fu_type = FU_FOR_OP[op]
-        if fu_type is FUType.NONE:
+        pool, busy, _ = self._by_op[op._value_]
+        if pool is None:
             return True
-        occupancy = 1 if is_pipelined(op) else self.latency(op)
-        return self._pools[fu_type].try_issue(cycle, occupancy)
+        return pool.try_issue(cycle, busy)
 
     def pool(self, fu_type: FUType) -> FunctionalUnitPool:
         return self._pools[fu_type]

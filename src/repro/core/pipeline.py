@@ -36,7 +36,6 @@ from ..common.config import ProcessorConfig
 from ..common.errors import DeadlockError, SimulationError
 from ..common.stats import StatsRegistry
 from ..isa.instruction import DynInst, InstState, RetireClass
-from ..isa.opcodes import is_fp
 from ..memory.hierarchy import CacheHierarchy
 from ..trace.trace import Trace
 from .cam_rename import CAMRenamer
@@ -436,7 +435,7 @@ class PipelineBase:
 
     # -- dispatch helpers shared by both machines -----------------------------------------
     def _queue_for(self, inst: DynInst) -> InstructionQueue:
-        return self.fp_queue if is_fp(inst.op) else self.int_queue
+        return self.fp_queue if inst.instr.is_fp else self.int_queue
 
     def _dispatch_stall(
         self, inst: DynInst, queue: InstructionQueue
@@ -468,7 +467,7 @@ class PipelineBase:
         if blocked_long and inst.phys_dest is not None:
             long_pregs.add(inst.phys_dest)
         live_class = None
-        if is_fp(inst.op):
+        if inst.instr.is_fp:
             if blocked_long:
                 live_class = "fp_long"
                 self.live_fp_long += 1
@@ -525,7 +524,7 @@ class PipelineBase:
 
     def _try_issue(self, inst: DynInst) -> bool:
         cycle = self.cycle
-        if not self.units.try_issue(inst.op, cycle):
+        if not self.units.try_issue(inst.instr.op, cycle):
             return False
         queue: InstructionQueue = inst.iq
         queue.remove(inst)
@@ -547,7 +546,7 @@ class PipelineBase:
 
     def _execution_time(self, inst: DynInst) -> int:
         """Cycles from issue to completion, including any memory access."""
-        base = self.units.latency(inst.op)
+        base = self.units.latency(inst.instr.op)
         if inst.is_load:
             forwarding_store = self.lsq.forwarding_store(inst)
             if forwarding_store is not None:

@@ -7,7 +7,17 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from . import registers
-from .opcodes import OpClass, is_branch, is_load, is_memory, is_store
+from .opcodes import OpClass, is_branch, is_fp, is_load, is_memory, is_store
+
+#: ``(is_load, is_store, is_memory, is_branch, is_fp)`` of every operation
+#: class, keyed by its ``_value_``: an ``OpClass`` key would hash through
+#: the Python-level ``Enum.__hash__`` on every construction.
+_OP_FLAGS = {
+    op._value_: (is_load(op), is_store(op), is_memory(op), is_branch(op), is_fp(op))
+    for op in OpClass
+}
+#: Every legal logical register id (see :func:`registers.is_valid`).
+_VALID_REGS = frozenset(range(registers.NUM_LOGICAL_REGS))
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,29 +41,43 @@ class Instruction:
     branch_target: Optional[int] = None
     raises_exception: bool = False
     label: str = ""
-    # Classification flags, precomputed once at construction: the
-    # pipeline stages test them on every dispatch/retire/commit, and a
-    # stored bool is much cheaper than re-hashing the op into the
-    # OpClass sets each time.  Excluded from equality (fully derived).
+    # Classification flags, precomputed once at construction from
+    # ``_OP_FLAGS``: the pipeline stages test them on every dispatch,
+    # issue, retire and commit, and a stored bool is much cheaper than
+    # re-hashing the op into the OpClass sets each time.  Excluded from
+    # equality (fully derived).
     is_load: bool = field(init=False, repr=False, compare=False)
     is_store: bool = field(init=False, repr=False, compare=False)
     is_memory: bool = field(init=False, repr=False, compare=False)
     is_branch: bool = field(init=False, repr=False, compare=False)
+    #: Steered to the floating-point issue queue.
+    is_fp: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         op = self.op
-        object.__setattr__(self, "is_load", is_load(op))
-        object.__setattr__(self, "is_store", is_store(op))
-        object.__setattr__(self, "is_memory", is_memory(op))
-        object.__setattr__(self, "is_branch", is_branch(op))
-        if self.dest is not None and not registers.is_valid(self.dest):
-            raise ValueError(f"invalid destination register {self.dest}")
-        registers.validate_regs(self.srcs)
-        if self.is_memory and self.mem_addr is None:
+        # Anything that is not an OpClass falls back on the predicates.
+        load, store, memory, branch, fp = (
+            _OP_FLAGS[op._value_]
+            if op.__class__ is OpClass
+            else (is_load(op), is_store(op), is_memory(op), is_branch(op), is_fp(op))
+        )
+        object.__setattr__(self, "is_load", load)
+        object.__setattr__(self, "is_store", store)
+        object.__setattr__(self, "is_memory", memory)
+        object.__setattr__(self, "is_branch", branch)
+        object.__setattr__(self, "is_fp", fp)
+        # The set settles every legal int id; anything else (out of range,
+        # not an int) takes the reference checks, which raise the errors.
+        dest = self.dest
+        if dest is not None and dest not in _VALID_REGS and not registers.is_valid(dest):
+            raise ValueError(f"invalid destination register {dest}")
+        if not _VALID_REGS.issuperset(self.srcs):
+            registers.validate_regs(self.srcs)
+        if memory and self.mem_addr is None:
             raise ValueError(f"memory instruction at pc={self.pc:#x} has no address")
-        if self.is_store and self.dest is not None:
+        if store and dest is not None:
             raise ValueError("store instructions must not have a destination register")
-        if op is OpClass.BRANCH and self.branch_taken and self.branch_target is None:
+        if branch and self.branch_taken and self.branch_target is None:
             raise ValueError("taken branch requires a target")
 
     # -- classification helpers ---------------------------------------

@@ -1,9 +1,9 @@
 """Trace file I/O: versioned gzip-JSON save/load for execution traces.
 
-Trace generation is deterministic but not free — at figure scales a suite
-is tens of thousands of ``Instruction`` constructions, and at the large
-scales the paper's windows want, millions.  This module lets a trace be
-generated once, saved, and replayed across sweeps:
+Trace generation is deterministic, but it needs the generator, at the
+version that wrote the trace.  This module lets a trace be generated
+once, saved, and replayed across sweeps and machines, with no generator
+at hand:
 
 * :func:`save_trace` writes a gzip-compressed file whose first line is a
   JSON header (format marker, format version, trace name, instruction
@@ -18,10 +18,11 @@ The body stores each *distinct* instruction record once plus an index of
 references: execution traces are unrolled loops, so most dynamic
 instructions repeat an earlier one exactly (same pc, operands, label —
 only memory addresses and branch outcomes vary iteration to iteration).
-``Instruction`` is a frozen dataclass, so the loader can share one
-instance across all its occurrences; loading therefore constructs only
-the distinct records and is several times faster than regenerating the
-trace (``benchmarks/test_bench_trace_io.py`` guards the speedup).
+``Instruction`` is a frozen dataclass, so the loader shares one instance
+across all its occurrences and constructs only the distinct records, as
+:class:`~repro.workloads.builder.TraceBuilder` does when it generates a
+trace.  ``benchmarks/test_bench_trace_io.py`` guards that a load replays
+the generated trace exactly, calls no generator and shares its records.
 """
 
 from __future__ import annotations
@@ -184,8 +185,8 @@ def load_trace(path: os.PathLike) -> Trace:
         )
     try:
         # Validated construction (Instruction.__post_init__ runs) but with
-        # the constructor inlined: this is the hot path the trace-io
-        # benchmark guards, one construction per *distinct* record.
+        # the constructor inlined: one construction per *distinct* record,
+        # the sharing the trace-io benchmark guards.
         pool = [
             Instruction(
                 pc=pc,

@@ -4,11 +4,19 @@ Workload generators use :class:`TraceBuilder` to emit dynamic instruction
 streams without having to spell out :class:`Instruction` constructor
 arguments everywhere.  The builder tracks the program counter, checks
 register operands and records the kernel label on every instruction.
+
+Generated traces are unrolled loops, so most records repeat an earlier
+one exactly: only memory addresses and branch outcomes vary from one
+iteration to the next.  ``Instruction`` is frozen, so the builder interns
+its records: the first emission of a record builds (and validates) the
+instance, and every repeat appends that same object.  A generated trace
+is therefore the same object graph as one read back by
+:func:`repro.trace.io.load_trace`, which shares instances the same way.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..isa import registers
 from ..isa.instruction import Instruction
@@ -26,6 +34,9 @@ class TraceBuilder:
         self.name = name
         self._pc = start_pc
         self._instructions: List[Instruction] = []
+        #: Every record emitted so far (all fields but the label, which is
+        #: ``name`` throughout) -> the one instance built for it.
+        self._interned: Dict[Tuple[Any, ...], Instruction] = {}
 
     # -- low-level emission ------------------------------------------------
     def emit(
@@ -40,19 +51,30 @@ class TraceBuilder:
         raises_exception: bool = False,
         pc: Optional[int] = None,
     ) -> Instruction:
-        """Append one instruction and return it."""
-        instr = Instruction(
-            pc=pc if pc is not None else self._pc,
-            op=op,
-            dest=dest,
-            srcs=tuple(srcs),
-            mem_addr=mem_addr,
-            mem_size=mem_size,
-            branch_taken=branch_taken,
-            branch_target=branch_target,
-            raises_exception=raises_exception,
-            label=self.name,
+        """Append one instruction and return it.
+
+        A record equal to an earlier one returns (and appends) the
+        instance built for that one.
+        """
+        at = self._pc if pc is None else pc
+        srcs = tuple(srcs)
+        key = (
+            at, op, dest, srcs, mem_addr, mem_size, branch_taken, branch_target, raises_exception,
         )
+        instr = self._interned.get(key)
+        if instr is None:
+            instr = self._interned[key] = Instruction(
+                pc=at,
+                op=op,
+                dest=dest,
+                srcs=srcs,
+                mem_addr=mem_addr,
+                mem_size=mem_size,
+                branch_taken=branch_taken,
+                branch_target=branch_target,
+                raises_exception=raises_exception,
+                label=self.name,
+            )
         self._instructions.append(instr)
         if pc is None:
             self._pc += INSTRUCTION_BYTES

@@ -127,6 +127,18 @@ class TestInstruction:
         with pytest.raises(ValueError):
             Instruction(pc=0, op=OpClass.INT_ALU, dest=99)
 
+    @pytest.mark.parametrize("srcs, bad", [((3, 64), 64), ((-1,), -1)])
+    def test_invalid_source_register_rejected(self, srcs, bad):
+        with pytest.raises(ValueError, match=f"^invalid logical register id {bad}$"):
+            Instruction(pc=0, op=OpClass.INT_ALU, dest=1, srcs=srcs)
+
+    @pytest.mark.parametrize("op", list(OpClass), ids=lambda op: op.value)
+    def test_flags_match_opcode_predicates(self, op):
+        instr = Instruction(pc=0, op=op, mem_addr=0x40)
+        assert (instr.is_load, instr.is_store, instr.is_memory, instr.is_branch, instr.is_fp) == (
+            is_load(op), is_store(op), is_memory(op), is_branch(op), is_fp(op)
+        )
+
     def test_describe_contains_operands(self):
         instr = Instruction(pc=0, op=OpClass.FP_ALU, dest=regs.fp_reg(1), srcs=(regs.fp_reg(2),))
         text = instr.describe()

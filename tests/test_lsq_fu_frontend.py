@@ -9,7 +9,7 @@ from repro.core.fu import ExecutionUnits, FunctionalUnitPool
 from repro.core.lsq import LoadStoreQueue
 from repro.isa import registers as regs
 from repro.isa.instruction import DynInst, Instruction
-from repro.isa.opcodes import FUType, OpClass
+from repro.isa.opcodes import FU_FOR_OP, FUType, OpClass, execution_latency, is_pipelined
 from repro.memory.hierarchy import CacheHierarchy
 from repro.workloads.builder import TraceBuilder
 
@@ -138,6 +138,23 @@ class TestFunctionalUnits:
     def test_nop_always_issues(self, stats):
         units = ExecutionUnits(FunctionalUnitConfig(), memory_ports=1, stats=stats)
         assert units.try_issue(OpClass.NOP, cycle=0)
+
+    @pytest.mark.parametrize("op", list(OpClass), ids=lambda op: op.value)
+    def test_per_class_table_matches_opcodes(self, op, stats):
+        """Latency and busy cycles agree with ``execution_latency`` and ``is_pipelined``."""
+        fu = FunctionalUnitConfig(
+            int_alu_count=1, int_alu_latency=2, int_mul_count=1, int_mul_latency=5,
+            int_div_latency=17, fp_count=1, fp_latency=3, fp_div_latency=13, agen_latency=4,
+        )
+        units = ExecutionUnits(fu, memory_ports=1, stats=stats)
+        assert units.latency(op) == execution_latency(op, fu)
+        assert units.try_issue(op, cycle=0)
+        if FU_FOR_OP[op] is FUType.NONE:
+            assert units.try_issue(op, cycle=0)
+            return
+        busy = 1 if is_pipelined(op) else execution_latency(op, fu)
+        assert not units.try_issue(op, cycle=busy - 1)
+        assert units.try_issue(op, cycle=busy)
 
 
 class TestFetchUnit:

@@ -21,6 +21,8 @@ from repro.workloads import (
     stencil3,
     stream_triad,
 )
+from repro.workloads.builder import TraceBuilder
+from repro.workloads.registry import get_workload, workload_names
 
 
 class TestNumericalKernels:
@@ -195,3 +197,41 @@ class TestSuites:
 
         with pytest.raises(ValueError):
             Suite("empty", [])
+
+
+class TestInterning:
+    #: A load emitted at an explicit pc, and one changed value per key field.
+    RECORD = dict(
+        op=OpClass.LOAD, dest=1, srcs=(2,), mem_addr=0x100, mem_size=8,
+        branch_taken=False, branch_target=None, raises_exception=False, pc=0x2000,
+    )
+    CHANGED = dict(
+        op=OpClass.FP_LOAD, dest=3, srcs=(4,), mem_addr=0x108, mem_size=4,
+        branch_taken=True, branch_target=0x1000, raises_exception=True, pc=0x2004,
+    )
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_registered_trace_holds_one_object_per_record(self, name):
+        trace = get_workload(name).build(scale=0.05)
+        assert len({id(instr) for instr in trace}) == len(set(trace)) < len(trace)
+
+    def test_repeated_record_is_shared(self):
+        builder = TraceBuilder("k")
+        first = builder.emit(**self.RECORD)
+        assert builder.emit(**self.RECORD) is first
+        # A repeat at the running pc still advances it.
+        builder.set_pc(0x1000)
+        alu = builder.int_op(1, 2)
+        builder.set_pc(0x1000)
+        assert builder.int_op(1, 2) is alu
+        assert builder.pc == 0x1004
+        trace = builder.build()
+        assert len(trace) == 4 and trace[0] is trace[1] and trace[2] is trace[3]
+
+    @pytest.mark.parametrize("field", sorted(CHANGED))
+    def test_any_changed_field_builds_a_new_record(self, field):
+        builder = TraceBuilder("k")
+        first = builder.emit(**self.RECORD)
+        other = builder.emit(**{**self.RECORD, field: self.CHANGED[field]})
+        assert other is not first
+        assert getattr(other, field) == self.CHANGED[field]
