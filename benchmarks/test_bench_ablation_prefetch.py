@@ -10,8 +10,9 @@ recovers more, and the two compose.
 
 from conftest import BENCH_SCALE, run_once
 
+from repro.api import Simulation
 from repro.common.config import cooo_config, scaled_baseline
-from repro.experiments.runner import ExperimentResult, run_config, suite_ipc, suite_traces
+from repro.experiments.runner import ExperimentResult, suite_ipc, suite_traces
 
 
 def _run(scale: float) -> ExperimentResult:
@@ -23,7 +24,7 @@ def _run(scale: float) -> ExperimentResult:
 
     def add(name, config):
         config.validate()
-        ipc = suite_ipc(run_config(config, traces))
+        ipc = suite_ipc(Simulation(config).run_suite(traces))
         experiment.row(config=name, ipc=round(ipc, 4))
         return ipc
 

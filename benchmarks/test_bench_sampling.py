@@ -141,6 +141,27 @@ def test_bench_compare_gate(tmp_path, capsys):
     assert compare_latest(str(tmp_path / "missing.json")) == 2
 
 
+def test_bench_compare_refuses_two_hosts(tmp_path, capsys):
+    """--compare exits 2, naming both hosts, when the recordings' platforms differ."""
+    import json
+
+    path = tmp_path / "bench.json"
+    history = [
+        {
+            "timestamp": f"t{index}",
+            "platform": platform_name,
+            "python": "3.11.7",
+            "results": [{"name": "a", "seconds": 1.0}],
+        }
+        for index, platform_name in enumerate(["Linux-host-a", "Linux-host-b"])
+    ]
+    path.write_text(json.dumps(history))
+    assert compare_latest(str(path)) == 2
+    err = capsys.readouterr().err
+    assert "different hosts" in err
+    assert "Linux-host-a" in err and "Linux-host-b" in err
+
+
 def test_sampled_benchmark_rows_carry_plan_metadata():
     """run_benchmarks rows for sampled specs record the plan and CI."""
     rows = run_benchmarks(["baseline-daxpy-xl-sampled"], repeats=1)

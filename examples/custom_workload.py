@@ -89,7 +89,7 @@ def main() -> None:
     print(format_table(rows))
     print(
         "\nthe same suite is now CLI-visible too:\n"
-        "  python -m repro workloads            # catalog entry\n"
+        "  python -m repro list                 # catalog entry\n"
         "  python -m repro sweep --suite zigzag-suite --jobs 4\n"
         "  python -m repro trace save --suite zigzag-suite --out-dir traces/"
     )

@@ -17,9 +17,13 @@ user code::
     )
     results = sim.run_suite(traces)
 
-    grid = api.run_many([cfg_a, cfg_b], suite="spec2000fp_like", jobs=4)
+    grid = api.run_many([cfg_a, cfg_b], suite="spec2000fp_like",
+                        engine=SweepEngine(jobs=4))
 
-Four layers sit underneath:
+Each knob is declared once, by the class that uses it: :func:`run`
+passes its keywords to :class:`Simulation`, and :func:`run_many` runs
+its grid on the :class:`~repro.experiments.sweep.SweepEngine` it is
+given.  Four layers sit underneath:
 
 * the **machine registry** (:mod:`repro.core.registry_machines`) maps
   ``config.mode`` to a registered pipeline class — new machines plug in
@@ -42,8 +46,7 @@ line), so expensive workloads are generated once and replayed.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .common.config import ProcessorConfig, SamplingPlan
 from .common.stats import StatsRegistry
@@ -76,6 +79,9 @@ from .workloads.registry import (
     workload_names,
     workload_specs,
 )
+
+if TYPE_CHECKING:
+    from .experiments.sweep import SweepEngine
 
 #: Cycles between ``progress`` callbacks (overridable per Simulation).
 DEFAULT_PROGRESS_INTERVAL = 8192
@@ -163,11 +169,6 @@ class Simulation:
         """The registered machine this simulation will instantiate."""
         return get_machine(self.config.mode)
 
-    def attach(self, probe: Probe) -> "Simulation":
-        """Add a probe to every future :meth:`run`; returns self to chain."""
-        self.probes.append(probe)
-        return self
-
     def pipeline(self, trace: Trace, stats: Optional[StatsRegistry] = None):
         """Build (but do not run) a pipeline — for step-by-step driving."""
         return create_pipeline(self.config, trace, stats, probes=self.probes)
@@ -223,154 +224,43 @@ class Simulation:
         return {name: self.run(trace, max_cycles) for name, trace in traces.items()}
 
 
-def run(
-    config: ProcessorConfig,
-    trace: Trace,
-    *,
-    probes: Sequence[Probe] = (),
-    max_cycles: Optional[int] = None,
-    progress: Optional[ProgressFn] = None,
-    progress_interval: int = DEFAULT_PROGRESS_INTERVAL,
-    stop_when: Optional[StopFn] = None,
-    force_per_cycle: bool = False,
-    sampling: Optional[SamplingPlan] = None,
-    sample_jobs: Optional[int] = None,
-    checkpoint_dir=None,
-    checkpoint_max_bytes: Optional[int] = None,
-    telemetry=None,
-) -> SimulationResult:
-    """Run one trace on one configuration — the canonical one-liner."""
-    return Simulation(
-        config,
-        probes=probes,
-        max_cycles=max_cycles,
-        progress=progress,
-        progress_interval=progress_interval,
-        stop_when=stop_when,
-        force_per_cycle=force_per_cycle,
-        sampling=sampling,
-        sample_jobs=sample_jobs,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_max_bytes=checkpoint_max_bytes,
-        telemetry=telemetry,
-    ).run(trace)
+def run(config: ProcessorConfig, trace: Trace, **options) -> SimulationResult:
+    """Run one trace on one configuration — the canonical one-liner.
+
+    ``options`` are :class:`Simulation`'s keywords (``probes``,
+    ``sampling``, ``progress``, ...); an unknown one raises ``TypeError``.
+    """
+    return Simulation(config, **options).run(trace)
 
 
 def run_many(
     configs: Sequence[ProcessorConfig],
-    traces: Optional[Mapping[str, Trace]] = None,
     *,
     suite: str = "spec2000fp_like",
     scale: Optional[float] = None,
     workloads: Optional[Sequence[str]] = None,
-    jobs: int = 1,
-    cache=None,
-    use_cache: bool = True,
-    probes: Sequence[Probe] = (),
-    max_cycles: Optional[int] = None,
-    stop_when: Optional[StopFn] = None,
-    progress: Optional[Callable[[str], None]] = None,
-    name: str = "api-run-many",
     sampling: Optional[SamplingPlan] = None,
-    sample_jobs: Optional[int] = None,
-    checkpoint_dir=None,
-    telemetry=None,
-    cell_timeout: Optional[float] = None,
-    retry=None,
-    injector=None,
-    journal=None,
-    resume: bool = False,
+    name: str = "api-run-many",
+    engine: Optional["SweepEngine"] = None,
 ) -> List[Tuple[ProcessorConfig, Dict[str, SimulationResult]]]:
-    """Run every config over every workload; results in config order.
+    """Run every config over every workload of ``suite``; results in config order.
 
-    Two modes:
-
-    * **Suite mode** (``traces`` omitted): the (config × workload) grid
-      of ``suite`` at ``scale`` executes on the sweep engine — ``jobs``
-      worker processes, optional persistent ``cache``
-      (a :class:`~repro.experiments.sweep.ResultCache`), per-cell
-      ``progress`` messages.  Probes cannot cross process/cache
-      boundaries, so ``probes``/``stop_when``/``max_cycles`` must be
-      unset.
-    ``sampling`` applies a :class:`~repro.common.config.SamplingPlan` to
-    every cell in either mode; sampled cells get their own cache keys,
-    so sampled and exact results never collide.  ``sample_jobs`` and
-    ``checkpoint_dir`` are the sampled-run performance levers (parallel
-    detailed windows, reusable warm-state checkpoints — see
-    :func:`repro.core.sampling.run_sampled`); results are bit-identical
-    with or without them and cache keys are untouched.
-
-    ``use_cache=False`` is a hard guard that forces every cell to
-    simulate live, overriding any ``cache`` argument — validation runs
-    (the fuzzer, the differential oracles) use it so their results can
-    neither poison nor be poisoned by the persistent sweep cache.
-
-    The fault-tolerance knobs (``cell_timeout``, ``retry``, ``injector``,
-    ``journal``, ``resume``) apply to suite mode only and are handed to
-    the :class:`~repro.experiments.sweep.SweepEngine` unchanged; see its
-    docstring.  Explicit-trace mode rejects them, like ``jobs``/``cache``.
-
-    * **Explicit-trace mode** (``traces`` given): each config runs the
-      given traces serially in-process, with probe/early-stop support
-      and no caching.  The *same* probe instances observe every
-      (config, workload) run in sequence; a probe that resets its state
-      in ``on_attach`` therefore ends holding only the last run's data —
-      accumulate into external state (e.g. via ``CallbackProbe``) to
-      gather across runs.
+    The (config × workload) grid of ``suite`` (or of its ``workloads``)
+    at ``scale`` executes on ``engine`` — a
+    :class:`~repro.experiments.sweep.SweepEngine` carrying the worker
+    count, result cache, progress reporter and fault-tolerance knobs —
+    or on a serial, uncached one when omitted.  ``sampling`` applies a
+    :class:`~repro.common.config.SamplingPlan` to every cell; sampled
+    cells get their own cache keys, so sampled and exact results never
+    collide.  Probes cannot cross process or cache boundaries: to observe
+    runs, drive the traces through ``Simulation(config, probes=...)
+    .run_suite(traces)`` instead.
 
     Returns ``[(config, {workload: result}), ...]`` in declared order.
     """
     from .experiments.runner import DEFAULT_SCALE
-    from .experiments.sweep import SweepEngine, SweepSpec
+    from .experiments.sweep import SweepSpec, ensure_engine
 
-    if not use_cache:
-        cache = None
-
-    if traces is not None:
-        if jobs != 1 or cache is not None:
-            raise ValueError(
-                "explicit traces run serially and uncached; use suite mode "
-                "(omit traces) for jobs/cache"
-            )
-        if (
-            cell_timeout is not None
-            or retry is not None
-            or injector is not None
-            or journal is not None
-            or resume
-        ):
-            raise ValueError(
-                "cell_timeout/retry/injector/journal/resume apply to suite "
-                "mode (omit traces); explicit traces run bare"
-            )
-        out: List[Tuple[ProcessorConfig, Dict[str, SimulationResult]]] = []
-        for config in configs:
-            sim = Simulation(
-                config,
-                probes=probes,
-                max_cycles=max_cycles,
-                stop_when=stop_when,
-                sampling=sampling,
-                sample_jobs=sample_jobs,
-                checkpoint_dir=checkpoint_dir,
-                telemetry=telemetry,
-            )
-            results: Dict[str, SimulationResult] = {}
-            for workload, trace in traces.items():
-                results[workload] = sim.run(trace)
-                if progress is not None:
-                    progress(
-                        f"{config.name or config.mode} x {workload}: "
-                        f"ipc={results[workload].ipc:.4f}"
-                    )
-            out.append((config, results))
-        return out
-
-    if probes or stop_when is not None or max_cycles is not None:
-        raise ValueError(
-            "probes/stop_when/max_cycles require explicit traces "
-            "(suite mode fans out over processes and a persistent cache)"
-        )
     spec = SweepSpec(
         name,
         list(configs),
@@ -379,60 +269,7 @@ def run_many(
         workloads=workloads,
         sampling=sampling,
     )
-    engine = SweepEngine(
-        jobs=jobs,
-        cache=cache,
-        progress=progress,
-        telemetry=telemetry,
-        cell_timeout=cell_timeout,
-        retry=retry,
-        injector=injector,
-        journal=journal,
-        resume=resume,
-        sample_jobs=sample_jobs,
-        checkpoint_dir=checkpoint_dir,
-    )
-    return list(engine.run(spec).per_config())
-
-
-def fuzz(cases: int, *, seed: int = 0, **kwargs):
-    """Run a coverage-guided differential fuzz campaign; see :mod:`repro.fuzz`.
-
-    A thin face over :func:`repro.fuzz.run_fuzz` (imported lazily — the
-    fuzzer sits above this module).  Campaigns always simulate live
-    through :func:`run`; they never touch the persistent sweep cache.
-    Returns a :class:`repro.fuzz.FuzzReport`.
-    """
-    from .fuzz import run_fuzz
-
-    return run_fuzz(cases, seed=seed, **kwargs)
-
-
-def lint(path=None, *, baseline=None):
-    """Run the simulator-aware static analyzer; see :mod:`repro.analysis.lint`.
-
-    A thin face over :class:`repro.analysis.lint.LintEngine` (imported
-    lazily — the analyzer sits above this module).  Lints the installed
-    ``repro`` package by default, or ``path`` when given.  Returns a
-    :class:`repro.analysis.lint.LintReport`; ``report.ok`` is the gate
-    CI enforces.
-    """
-    from .analysis.lint import LintEngine
-
-    root = Path(path) if path is not None else None
-    baseline_path = Path(baseline) if baseline is not None else None
-    return LintEngine(root=root, baseline_path=baseline_path).run()
-
-
-def replay_fuzz_corpus(directory, **kwargs):
-    """Replay every fuzz repro file under ``directory``; see :mod:`repro.fuzz`.
-
-    Returns ``[(path, [OracleVerdict, ...]), ...]`` in file-name order;
-    every verdict of a healthy corpus is ``ok``.
-    """
-    from .fuzz import replay_corpus
-
-    return replay_corpus(Path(directory), **kwargs)
+    return list(ensure_engine(engine).run(spec).per_config())
 
 
 __all__ = [
@@ -446,10 +283,8 @@ __all__ = [
     "WorkloadSpec",
     "build_workload",
     "create_pipeline",
-    "fuzz",
     "get_machine",
     "get_suite",
-    "lint",
     "get_workload",
     "load_trace",
     "machine_names",
@@ -457,7 +292,6 @@ __all__ = [
     "register_machine",
     "register_suite",
     "register_workload",
-    "replay_fuzz_corpus",
     "run",
     "run_many",
     "run_sampled",

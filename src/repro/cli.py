@@ -5,21 +5,18 @@ The subcommands cover the common workflows:
 ``simulate``
     Run one machine configuration over one workload (or a whole suite) and
     print the per-run statistics.  ``--machine`` accepts any registered
-    machine organization (see ``repro modes``); ``--workload``/``--suite``
-    accept any registered workload or suite (see ``repro workloads``).
-
-``experiment``
-    Regenerate one of the paper's figures (or the checkpoint-policy
-    ablation) and print its table.  Execution routes through the sweep
-    engine: ``--jobs N`` simulates grid cells on N worker processes and a
-    persistent result cache (``--cache-dir``, disable with ``--no-cache``)
-    skips cells that were already simulated with identical parameters.
-    ``--suite`` swaps the workload suite under the figure's machine grid.
+    machine organization and ``--workload``/``--suite`` any registered
+    workload or suite (see ``repro list``).
 
 ``sweep``
-    Regenerate one or more experiments (or ``all``) through the sweep
-    engine with per-cell progress reporting — the bulk way to rebuild the
-    whole evaluation section.  With ``--suite`` and no experiment names,
+    Regenerate one or more of the paper's figures (or the
+    checkpoint-policy ablation, or ``all``) and print their tables, with
+    per-cell progress reporting unless ``--quiet``.  Execution routes
+    through the sweep engine: ``--jobs N`` simulates grid cells on N
+    worker processes and a persistent result cache (``--cache-dir``,
+    disable with ``--no-cache``) skips cells that were already simulated
+    with identical parameters.  ``--suite`` swaps the workload suite under
+    each figure's machine grid; with ``--suite`` and no experiment names,
     sweeps a standard machine-comparison grid over that suite instead.
 
 ``trace``
@@ -37,21 +34,13 @@ The subcommands cover the common workflows:
     gc`` LRU-evicts files past a size budget.
 
 ``list``
-    Show the available workloads (with behavioral descriptions), suites
-    and experiments.
-
-``workloads``
-    Show every registered workload with its knobs and base size, and
-    every registered suite with its members (mirrors ``repro modes``).
-    Workloads are pluggable: anything registered through
-    :func:`repro.workloads.registry.register_workload` appears here and
-    in ``--workload``/``--suite`` automatically.
-
-``modes``
-    Show every registered machine organization with a one-line
-    description.  Machines are pluggable: anything registered through
-    :func:`repro.core.registry_machines.register_machine` appears here
-    and in ``--machine`` automatically.
+    Show every registered workload (base size, knobs, description),
+    suite (members, description) and machine organization (description),
+    and every experiment.  Workloads and machines are pluggable: anything
+    registered through :func:`repro.workloads.registry.register_workload`,
+    ``register_suite`` or :func:`repro.core.registry_machines.register_machine`
+    appears here and in ``--workload``/``--suite``/``--machine``
+    automatically.
 
 ``fuzz``
     Coverage-guided differential fuzzing (see :mod:`repro.fuzz`):
@@ -70,8 +59,8 @@ Examples::
     python -m repro simulate --machine baseline --suite spec2000fp-xl --scale 1.0 \
         --sample 50000:8000:4000                            # sampled XL run with CI
     python -m repro sweep --suite chase-xl --sample 50000:8000:4000 --jobs 4
-    python -m repro experiment figure09 --scale 0.5
-    python -m repro experiment figure09 --jobs 4 --suite pointer-chase
+    python -m repro sweep figure09 --scale 0.5
+    python -m repro sweep figure09 --jobs 4 --suite pointer-chase
     python -m repro sweep figure09 figure11 --jobs 8        # two figures, shared cache
     python -m repro sweep all --full --jobs 8 --json out.json
     python -m repro sweep --suite server-mix --jobs 4       # machine grid over one suite
@@ -88,8 +77,6 @@ Examples::
     python -m repro fuzz --cases 40 --seed 7 --corpus-dir tests/corpus
     python -m repro fuzz --replay tests/corpus
     python -m repro list
-    python -m repro workloads
-    python -m repro modes
 """
 
 from __future__ import annotations
@@ -120,7 +107,6 @@ from .trace.trace import Trace
 from .workloads.registry import (
     get_suite,
     get_workload,
-    suite_names,
     suite_specs,
     workload_specs,
 )
@@ -180,7 +166,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return 2
     # Workload and suite names resolve through the registry at run time,
     # so registered plugins are usable without parser edits; unknown
-    # names error out listing every registered one (like 'repro modes').
+    # names error out listing every registered one.
     try:
         if args.suite:
             traces = get_suite(args.suite).build(args.scale)
@@ -226,9 +212,9 @@ def _progress_logger(name: str):
     """A per-cell progress reporter routed through stdlib logging.
 
     Progress goes out at INFO through the shared ``repro`` formatter; the
-    subsystem logger is pinned to INFO so explicitly requested progress
-    (``--progress``, or sweeps without ``--quiet``) still shows under the
-    default WARNING root level.
+    subsystem logger is pinned to INFO so progress (sweeps and fuzz
+    campaigns without ``--quiet``) still shows under the default WARNING
+    root level.
     """
     from .telemetry import get_logger
 
@@ -237,14 +223,16 @@ def _progress_logger(name: str):
     return logger.info
 
 
-def build_engine(args: argparse.Namespace, progress: bool = False) -> SweepEngine:
-    """Translate the engine CLI flags into a SweepEngine.
+def build_engine(args: argparse.Namespace) -> SweepEngine:
+    """Translate the ``sweep`` engine flags into a SweepEngine.
 
-    Besides --jobs/--cache-dir/--no-cache this wires the robustness
-    knobs: --cell-timeout, --retries, --journal/--resume, and the
-    --inject/--inject-seed fault plan.  Raises SystemExit(2) with a
-    clean message if the cache directory is unusable (e.g. the path
-    exists but is a regular file) or the fault plan does not parse.
+    Besides --jobs/--cache-dir/--no-cache this wires per-cell progress
+    (off with --quiet), the robustness knobs (--cell-timeout, --retries,
+    --journal/--resume, the --inject/--inject-seed fault plan) and the
+    sampled-run levers --sample-jobs/--checkpoint-dir.  Raises
+    SystemExit(2) with a clean message if the cache directory is
+    unusable (e.g. the path exists but is a regular file) or the fault
+    plan does not parse.
     """
     cache: Optional[ResultCache] = None
     if not args.no_cache:
@@ -254,46 +242,40 @@ def build_engine(args: argparse.Namespace, progress: bool = False) -> SweepEngin
         except OSError as exc:
             print(f"error: unusable cache directory {cache_dir}: {exc}", file=sys.stderr)
             raise SystemExit(2)
-    reporter = _progress_logger("sweep") if progress else None
     retry = None
-    retries = getattr(args, "retries", None)
-    if retries is not None:
+    if args.retries is not None:
         from .robustness import RetryPolicy
 
-        retry = RetryPolicy(max_attempts=retries)
+        retry = RetryPolicy(max_attempts=args.retries)
     injector = None
-    plan_spec = getattr(args, "inject", None)
-    if plan_spec:
-        from .common.errors import ConfigurationError
+    if args.inject:
         from .robustness import FaultInjector, parse_fault_plan
 
         try:
-            plan = parse_fault_plan(plan_spec, seed=getattr(args, "inject_seed", 0))
+            plan = parse_fault_plan(args.inject, seed=args.inject_seed)
         except ConfigurationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             raise SystemExit(2)
         injector = FaultInjector(plan)
     journal = None
-    journal_path = getattr(args, "journal", None)
-    if journal_path:
+    if args.journal:
         from .robustness import SweepJournal
 
-        journal = SweepJournal(journal_path)
-    resume = bool(getattr(args, "resume", False))
-    if resume and journal is None:
+        journal = SweepJournal(args.journal)
+    if args.resume and journal is None:
         print("error: --resume requires --journal FILE", file=sys.stderr)
         raise SystemExit(2)
     return SweepEngine(
         jobs=args.jobs,
         cache=cache,
-        progress=reporter,
-        cell_timeout=getattr(args, "cell_timeout", None),
+        progress=None if args.quiet else _progress_logger("sweep"),
+        cell_timeout=args.cell_timeout,
         retry=retry,
         injector=injector,
         journal=journal,
-        resume=resume,
-        sample_jobs=getattr(args, "sample_jobs", None),
-        checkpoint_dir=getattr(args, "checkpoint_dir", None),
+        resume=args.resume,
+        sample_jobs=args.sample_jobs,
+        checkpoint_dir=args.checkpoint_dir,
     )
 
 
@@ -301,59 +283,11 @@ def _experiment_kwargs(args: argparse.Namespace, runner, engine: SweepEngine) ->
     kwargs: Dict[str, object] = {"engine": engine}
     if args.scale is not None:
         kwargs["scale"] = args.scale
-    if getattr(args, "full", False) and "quick" in runner.__code__.co_varnames:
+    if args.full and "quick" in runner.__code__.co_varnames:
         kwargs["quick"] = False
-    if getattr(args, "suite", None) and "suite" in runner.__code__.co_varnames:
+    if args.suite and "suite" in runner.__code__.co_varnames:
         kwargs["suite"] = args.suite
     return kwargs
-
-
-def _validate_suite_argument(args: argparse.Namespace) -> bool:
-    """Resolve an optional --suite up front so unknown names exit cleanly."""
-    suite = getattr(args, "suite", None)
-    if suite:
-        try:
-            get_suite(suite)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return False
-    return True
-
-
-def cmd_experiment(args: argparse.Namespace) -> int:
-    if not _validate_suite_argument(args):
-        return 2
-    if args.name not in EXPERIMENTS:
-        print(
-            f"error: unknown experiment {args.name!r}; available: "
-            f"{', '.join(available_experiments())}",
-            file=sys.stderr,
-        )
-        return 2
-    runner = EXPERIMENTS[args.name]
-    engine = build_engine(args, progress=args.progress)
-    experiment = runner(**_experiment_kwargs(args, runner, engine))
-    print(experiment.report())
-    if engine.cache is not None:
-        print(
-            f"cells: {engine.total_simulated} simulated, {engine.total_cached} cached"
-            f" (cache: {engine.cache.cache_dir})",
-            file=sys.stderr,
-        )
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(
-                {
-                    "experiment": experiment.experiment,
-                    "description": experiment.description,
-                    "rows": experiment.rows,
-                    "notes": experiment.notes,
-                },
-                handle,
-                indent=2,
-            )
-        print(f"\nwrote {args.json}")
-    return 0
 
 
 def _trace_filename(name: str) -> str:
@@ -647,14 +581,10 @@ def _suite_grid_configs(memory_latency: int = 1000) -> List[ProcessorConfig]:
 
 
 def cmd_suite_sweep(args: argparse.Namespace) -> int:
-    """Sweep the standard machine grid over one registered suite."""
+    """Sweep the standard machine grid over one registered suite (resolved by cmd_sweep)."""
     from .experiments.runner import DEFAULT_SCALE
 
-    try:
-        suite = get_suite(args.suite)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
+    suite = get_suite(args.suite)
     scale = args.scale if args.scale is not None else DEFAULT_SCALE
     sampling = parse_sampling(args)
     spec = SweepSpec(
@@ -664,7 +594,7 @@ def cmd_suite_sweep(args: argparse.Namespace) -> int:
         suite=args.suite,
         sampling=sampling,
     )
-    engine = build_engine(args, progress=not args.quiet)
+    engine = build_engine(args)
     outcome = engine.run(spec)
     rows = []
     for config, results in outcome.per_config():
@@ -714,10 +644,15 @@ def cmd_suite_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if not _validate_suite_argument(args):
-        return 2
+    if args.suite:
+        # Resolve --suite up front so unknown names exit cleanly.
+        try:
+            get_suite(args.suite)
+        except KeyError as exc:
+            print(f"error: {exc.args[0]}", file=sys.stderr)
+            return 2
     if not args.names:
-        if getattr(args, "suite", None):
+        if args.suite:
             return cmd_suite_sweep(args)
         print(
             "error: provide experiment names (see 'repro list'), or --suite "
@@ -725,7 +660,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if getattr(args, "sample", None):
+    if args.sample:
         print(
             "error: --sample applies to suite-grid sweeps (--suite without "
             "experiment names); the figure experiments reproduce the paper's "
@@ -747,7 +682,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             )
             return 2
     names = list(dict.fromkeys(names))  # dedup (e.g. "all figure09"), keep order
-    engine = build_engine(args, progress=not args.quiet)
+    engine = build_engine(args)
     start = time.perf_counter()
     payload: Dict[str, object] = {}
     for name in names:
@@ -779,24 +714,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_list(args: argparse.Namespace) -> int:
-    specs = workload_specs()
-    print("workloads:")
-    width = max(len(spec.name) for spec in specs)
-    for spec in specs:
-        print(f"  {spec.name:<{width}}  {spec.description}".rstrip())
-    print("suites:")
-    for name in suite_names():
-        print(f"  {name}: {', '.join(get_suite(name).names())}")
-    print("experiments:")
-    for name in available_experiments():
-        print(f"  {name}")
-    print("machines: (see 'repro modes')")
-    print(f"  {', '.join(machine_names())}")
-    return 0
-
-
-def cmd_workloads(args: argparse.Namespace) -> int:
-    """List every registered workload and suite with its parameters."""
+    """List every registered workload, suite and machine, and every experiment."""
     specs = workload_specs()
     width = max(len(spec.name) for spec in specs)
     print("registered workloads:")
@@ -814,11 +732,19 @@ def cmd_workloads(args: argparse.Namespace) -> int:
         print(f"  {suite_spec.name}: {members}")
         if suite_spec.description:
             print(f"    {suite_spec.description}")
+    machines = machine_specs()
+    width = max(len(spec.name) for spec in machines)
+    print("\nregistered machines:")
+    for machine in machines:
+        print(f"  {machine.name:<{width}}  {machine.description}".rstrip())
+    print("\nexperiments:")
+    for name in available_experiments():
+        print(f"  {name}")
     print(
         "\nregister more via repro.workloads.registry.register_workload /"
-        " register_suite; any registered name works with 'simulate"
-        " --workload/--suite', 'trace save', repro.api.run_many and the"
-        " sweep engine."
+        " register_suite and repro.core.registry_machines.register_machine;"
+        " any registered name works with 'simulate', 'trace save',"
+        " repro.api.run_many and the sweep engine."
     )
     return 0
 
@@ -941,21 +867,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_modes(args: argparse.Namespace) -> int:
-    """List every registered machine organization."""
-    specs = machine_specs()
-    width = max(len(spec.name) for spec in specs)
-    print("registered machines:")
-    for spec in specs:
-        print(f"  {spec.name:<{width}}  {spec.description}".rstrip())
-    print(
-        "\nregister more via repro.core.registry_machines.register_machine;"
-        " any registered mode works with 'simulate --machine', ProcessorConfig"
-        " and the sweep engine."
-    )
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -979,7 +890,7 @@ def build_parser() -> argparse.ArgumentParser:
         # profile builders and the parser can never drift apart.
         subparser.add_argument(
             "--machine", choices=machine_names(), default="cooo",
-            help="registered machine organization (see 'repro modes')",
+            help="registered machine organization (see 'repro list')",
         )
         subparser.add_argument("--memory-latency", type=int, default=CLI_DEFAULTS["memory_latency"])
         subparser.add_argument("--perfect-l2", action="store_true")
@@ -1026,9 +937,9 @@ def build_parser() -> argparse.ArgumentParser:
     # Workload/suite names are validated against the registry at run
     # time (not argparse choices), so late-registered ones work too.
     simulate.add_argument("--workload", default=None,
-                          help="registered workload (see 'repro workloads')")
+                          help="registered workload (see 'repro list')")
     simulate.add_argument("--suite", default=None,
-                          help="registered suite (see 'repro workloads')")
+                          help="registered suite (see 'repro list')")
     simulate.add_argument("--size", type=int, default=1000,
                           help="workload size parameter (elements/iterations)")
     simulate.add_argument("--scale", type=float, default=0.5, help="suite scale")
@@ -1083,24 +994,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="seed for the --inject plan (same seed, same faults)",
         )
 
-    experiment = subparsers.add_parser("experiment", help="regenerate one paper figure")
-    experiment.add_argument("name", help="experiment name (see 'repro list')")
-    experiment.add_argument("--scale", type=float, default=None)
-    experiment.add_argument("--full", action="store_true", help="use the full parameter grid")
-    experiment.add_argument(
-        "--suite", default=None,
-        help="registered workload suite to run the figure's machines over "
-             "(default: the paper's spec2000fp_like)",
-    )
-    experiment.add_argument("--json", default=None, help="write the rows to this JSON file")
-    add_engine_arguments(experiment)
-    experiment.add_argument(
-        "--progress", action="store_true", help="report per-cell progress on stderr"
-    )
-    experiment.set_defaults(func=cmd_experiment)
-
     sweep = subparsers.add_parser(
-        "sweep", help="regenerate experiments through the parallel sweep engine"
+        "sweep", help="regenerate paper figures through the parallel sweep engine"
     )
     sweep.add_argument(
         "names", nargs="*", metavar="experiment",
@@ -1132,7 +1027,7 @@ def build_parser() -> argparse.ArgumentParser:
         "save", help="generate a workload or suite and save it to trace files"
     )
     trace_save.add_argument("--workload", default=None,
-                            help="registered workload (see 'repro workloads')")
+                            help="registered workload (see 'repro list')")
     trace_save.add_argument("--suite", default=None,
                             help="registered suite: saves one file per member")
     trace_save.add_argument("--size", type=int, default=1000,
@@ -1169,7 +1064,7 @@ def build_parser() -> argparse.ArgumentParser:
              "keyed checkpoint (reused automatically by --checkpoint-dir)",
     )
     checkpoint_save.add_argument("--workload", default=None,
-                                 help="registered workload (see 'repro workloads')")
+                                 help="registered workload (see 'repro list')")
     checkpoint_save.add_argument("--size", type=int, default=1000,
                                  help="workload size parameter (elements/iterations)")
     checkpoint_save.add_argument("--trace", default=None, metavar="FILE",
@@ -1267,18 +1162,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_machine_arguments(timeline, include_window=False)
     timeline.set_defaults(func=cmd_timeline)
 
-    listing = subparsers.add_parser("list", help="list workloads, suites and experiments")
+    listing = subparsers.add_parser(
+        "list", help="list registered workloads, suites and machines, and experiments"
+    )
     listing.set_defaults(func=cmd_list)
-
-    workloads_parser = subparsers.add_parser(
-        "workloads", help="list registered workloads and suites with their knobs"
-    )
-    workloads_parser.set_defaults(func=cmd_workloads)
-
-    modes = subparsers.add_parser(
-        "modes", help="list registered machine organizations"
-    )
-    modes.set_defaults(func=cmd_modes)
 
     from .fuzz import DEFAULT_SAMPLING_TOLERANCE, oracle_names
 

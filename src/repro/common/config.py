@@ -389,7 +389,7 @@ class ProcessorConfig:
 
     ``mode`` names a machine organization registered in
     :mod:`repro.core.registry_machines` — ``"baseline"`` and ``"cooo"``
-    ship with the paper's two machines; ``repro modes`` lists the rest,
+    ship with the paper's two machines; ``repro list`` lists the rest,
     and :func:`~repro.core.registry_machines.register_machine` adds new
     ones without touching this module.
     """

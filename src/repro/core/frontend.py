@@ -32,7 +32,6 @@ class FetchedInstruction:
 
     trace_index: int
     instr: Instruction
-    predicted_taken: Optional[bool]
     mispredicted: bool
     #: Global branch history as of fetching this instruction (gshare
     #: only); checkpoints snapshot it for rollback repair.
@@ -136,22 +135,19 @@ class FetchUnit:
             # history register polluted and the same branch can
             # mispredict on every re-execution — a commit livelock).
             history = self.predictor.snapshot_history() if self._gshare else None
-            predicted: Optional[bool] = None
             mispredicted = False
             if instr.is_branch:
-                predicted, mispredicted = self._handle_branch(instr, trace_index)
-            block.append(
-                FetchedInstruction(trace_index, instr, predicted, mispredicted, history)
-            )
+                mispredicted = self._handle_branch(instr, trace_index)
+            block.append(FetchedInstruction(trace_index, instr, mispredicted, history))
             if instr.is_branch and instr.branch_taken:
                 self._redirects.add()
                 break
         return block
 
-    def _handle_branch(self, instr: Instruction, trace_index: int) -> tuple:
-        """Predict one branch, train the tables and detect a misprediction."""
+    def _handle_branch(self, instr: Instruction, trace_index: int) -> bool:
+        """Predict one branch, train the tables; True if it mispredicted."""
         if self.config.perfect:
-            return instr.branch_taken, False
+            return False
         if trace_index in self._resolved_branches:
             # This dynamic branch already resolved and caused a checkpoint
             # rollback; its re-fetch takes the known-correct path.  The
@@ -165,7 +161,7 @@ class FetchUnit:
             self.predictor.record_outcome(actual, actual)
             if isinstance(self.predictor, GSharePredictor):
                 self.predictor.warm(instr.pc, actual)
-            return actual, False
+            return False
         history = None
         if isinstance(self.predictor, GSharePredictor):
             history = self.predictor.snapshot_history()
@@ -183,7 +179,7 @@ class FetchUnit:
                 self.predictor.correct_history(history, actual)
         else:
             self.predictor.update(instr.pc, actual)
-        return predicted, mispredicted
+        return mispredicted
 
     # -- redirects ---------------------------------------------------------------------------
     def redirect(self, trace_index: int, resume_cycle: int) -> None:

@@ -428,7 +428,6 @@ class PipelineBase:
             self._next_seq += 1
             self.fetched += 1
             inst.fetch_cycle = cycle
-            inst.predicted_taken = fetched.predicted_taken
             inst.mispredicted = fetched.mispredicted
             inst.fetch_history = fetched.history
             buffer.append(inst)
@@ -555,7 +554,6 @@ class PipelineBase:
                 inst.instr.mem_addr or 0, False, self.cycle, pc=inst.instr.pc
             )
             inst.l2_miss = access.l2_miss
-            inst.dl1_miss = access.dl1_miss
             if access.l2_miss:
                 inst.long_latency = True
             return base + access.latency
@@ -712,7 +710,6 @@ class BaselinePipeline(PipelineBase):
                 self.hierarchy.data_access(
                     inst.instr.mem_addr or 0, True, self.cycle, pc=inst.instr.pc
                 )
-                inst.store_drained = True
             if inst.is_memory:
                 self.lsq.release(inst)
             self.renamer.release_on_commit(inst)
@@ -911,7 +908,6 @@ class OoOCommitPipeline(PipelineBase):
                 retire_class, move_root = RetireClass.SHORT_LATENCY, None
         self.pseudo_rob.retire_oldest()
         self.pseudo_rob.record_classification(retire_class)
-        inst.retire_class = retire_class
         if move_root is not None and self.sliq is not None:
             queue: InstructionQueue = inst.iq
             queue.remove(inst)
@@ -1189,7 +1185,6 @@ class OoOCommitPipeline(PipelineBase):
                 store.instr.mem_addr or 0, True, self.cycle, pc=store.instr.pc
             )
             self.lsq.release(store)
-            store.store_drained = True
             drained += 1
         if self._drain_position >= len(checkpoint.stores):
             self._finalize_checkpoint(checkpoint)
@@ -1298,7 +1293,6 @@ class OoOCommitPipeline(PipelineBase):
         if queue.is_full and not self._make_room_in_queue(queue):
             queue.note_full_stall()
             return False
-        inst.sliq_exit_cycle = self.cycle
         queue.insert(inst, self.regfile, self.wakeup)
         return True
 

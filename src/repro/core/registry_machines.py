@@ -15,7 +15,7 @@ subclass registered under a mode name::
 From that point on the variant behaves exactly like a built-in: a
 ``ProcessorConfig`` with ``mode="my-variant"`` validates, simulates
 through :func:`repro.api.run`, sweeps through the sweep engine (with its
-own cache keys), and shows up in ``repro modes`` and the CLI's
+own cache keys), and shows up in ``repro list`` and the CLI's
 ``--machine`` choices — with zero edits to ``pipeline.py``,
 ``config.py`` or ``cli.py``.
 
@@ -158,7 +158,7 @@ def register_machine(
 ) -> Callable[[type], type]:
     """Class decorator registering a pipeline class as machine ``name``.
 
-    ``description`` is the one-liner shown by ``repro modes``; when
+    ``description`` is the one-liner shown by ``repro list``; when
     omitted, the first line of the class docstring is used.
     ``cli_config`` builds a config from ``repro simulate`` arguments and
     defaults to the baseline profile (window-style knobs).

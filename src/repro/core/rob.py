@@ -49,7 +49,6 @@ class ReorderBuffer:
         """Append ``inst`` at the tail (dispatch order == program order)."""
         if self.is_full:
             raise StructuralHazardError("ROB overflow")
-        inst.rob_index = len(self._entries)
         self._entries.append(inst)
         self._inserts.add()
 

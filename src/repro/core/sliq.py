@@ -175,9 +175,8 @@ class SlowLaneQueue:
         return preg in self._parked_dests
 
     # -- bookkeeping helpers ---------------------------------------------------------------
-    def _park(self, inst: DynInst, wakeup_preg: int) -> None:
+    def _park(self, inst: DynInst) -> None:
         inst.in_sliq = True
-        inst.sliq_wakeup_preg = wakeup_preg
         dest = inst.phys_dest
         if dest is not None:
             parked = self._parked_dests
@@ -213,7 +212,7 @@ class SlowLaneQueue:
             self._refiles.add()
         ready_fn = self._ready_fn
         already_ready = ready_fn(wakeup_preg) if ready_fn is not None else False
-        self._park(inst, wakeup_preg)
+        self._park(inst)
         if already_ready:
             self._push_stream([inst])
         else:

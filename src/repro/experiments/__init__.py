@@ -13,7 +13,6 @@ from .registry import EXPERIMENTS, available_experiments, run_experiment
 from .runner import (
     DEFAULT_SCALE,
     ExperimentResult,
-    run_config,
     suite_ipc,
     suite_metric,
     suite_traces,
@@ -50,7 +49,6 @@ __all__ = [
     "run_experiment",
     "DEFAULT_SCALE",
     "ExperimentResult",
-    "run_config",
     "suite_ipc",
     "suite_metric",
     "suite_traces",

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..analysis.report import format_table
-from ..api import Simulation
-from ..common.config import ProcessorConfig
 from ..common.stats import arithmetic_mean
 from ..core.result import SimulationResult
 from ..trace.trace import Trace
@@ -52,14 +50,6 @@ def suite_traces(
     """
     names = get_suite(suite).names() if workloads is None else workloads
     return {name: _member_trace(suite, scale, name) for name in names}
-
-
-def run_config(
-    config: ProcessorConfig,
-    traces: Mapping[str, Trace],
-) -> Dict[str, SimulationResult]:
-    """Run one configuration over every trace of a suite."""
-    return Simulation(config).run_suite(traces)
 
 
 def suite_ipc(results: Mapping[str, SimulationResult]) -> float:

@@ -1040,12 +1040,6 @@ class SweepEngine:
             degraded=bool(rstats["degraded"]),
         )
 
-    def run_config(
-        self, config: ProcessorConfig, spec: SweepSpec
-    ) -> Dict[str, SimulationResult]:
-        """Convenience: run ``spec`` and return one config's results."""
-        return self.run(spec).config_results(config)
-
 
 def ensure_engine(engine: Optional[SweepEngine]) -> SweepEngine:
     """Default serial, uncached engine when a figure is called without one."""

@@ -185,8 +185,8 @@ class DynInst:
 
     Dynamic instructions are created at fetch and destroyed at commit or
     squash.  They carry the renamed operands, the structures they occupy
-    (ROB slot, checkpoint index, LSQ slot, pseudo-ROB/SLIQ membership) and
-    per-stage timestamps used by the analysis modules.
+    (checkpoint index, LSQ slot, issue-queue/pseudo-ROB/SLIQ membership)
+    and per-stage timestamps used by the analysis modules.
 
     The class is slotted: one ``DynInst`` is allocated per fetched
     instruction and its fields are the hottest attribute accesses in the
@@ -204,10 +204,8 @@ class DynInst:
     phys_dest: Optional[int] = None
     phys_srcs: List[int] = field(default_factory=list)
     old_phys_dest: Optional[int] = None
-    virtual_tag: Optional[int] = None
 
     # Structure occupancy ------------------------------------------------
-    rob_index: Optional[int] = None
     checkpoint_id: Optional[int] = None
     lsq_index: Optional[int] = None
     in_iq: bool = False
@@ -217,11 +215,7 @@ class DynInst:
     # Execution status ----------------------------------------------------
     long_latency: bool = False
     l2_miss: bool = False
-    dl1_miss: bool = False
-    store_drained: bool = False
-    predicted_taken: Optional[bool] = None
     mispredicted: bool = False
-    retire_class: Optional[RetireClass] = None
 
     # Timestamps (cycle numbers; None until the event happens) ------------
     fetch_cycle: Optional[int] = None
@@ -230,15 +224,12 @@ class DynInst:
     complete_cycle: Optional[int] = None
     commit_cycle: Optional[int] = None
     sliq_enter_cycle: Optional[int] = None
-    sliq_exit_cycle: Optional[int] = None
 
     # Scheduler/occupancy bookkeeping (owned by iq/sliq/pipeline) ----------
     #: Physical source registers still unready (maintained by the issue queue).
     pending_srcs: Optional[Any] = None
     #: The issue queue currently (or last) holding this instruction.
     iq: Optional[Any] = None
-    #: Wake-up register this instruction is filed under in the SLIQ.
-    sliq_wakeup_preg: Optional[int] = None
     #: Late allocation: the physical register was claimed at write-back.
     claimed_phys: bool = False
     #: Liveness class the pipeline counts it under ("fp_long" / "fp_short" / None).

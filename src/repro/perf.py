@@ -398,8 +398,10 @@ def compare_latest(
     95% CI half-width that grew past ``ci_growth_limit`` (default 2x)
     times the earlier width is an accuracy regression even if the run
     got faster.  Returns 0 when clean, 1 on any regression, 2 when the
-    file has fewer than two entries or no common benchmarks (nothing to
-    compare is a gate failure, not a pass).
+    file has fewer than two entries, when the two come from different
+    hosts (``platform`` or ``python`` differ: seconds from two machines do
+    not compare) or when they share no benchmark (nothing to compare is
+    a gate failure, not a pass).
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -415,6 +417,17 @@ def compare_latest(
         )
         return 2
     older, newer = history[-2], history[-1]
+    hosts = [(entry.get("platform"), entry.get("python")) for entry in (older, newer)]
+    if hosts[0] != hosts[1]:
+        print(
+            f"error: the two newest recordings in {path} come from different hosts:\n"
+            + "\n".join(
+                f"  {entry.get('timestamp')}: platform={platform_name}, python={python}"
+                for entry, (platform_name, python) in zip((older, newer), hosts)
+            ),
+            file=sys.stderr,
+        )
+        return 2
     older_rows = {row["name"]: row for row in older.get("results", [])}
     newer_rows = {row["name"]: row for row in newer.get("results", [])}
     common = [name for name in newer_rows if name in older_rows]

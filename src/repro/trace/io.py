@@ -32,7 +32,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Sequence
 
 from ..common.errors import TraceError
 from ..isa.instruction import Instruction
@@ -101,6 +101,17 @@ def save_trace(trace: Trace, path: os.PathLike, compresslevel: int = 6) -> Path:
         "distinct_instructions": len(records),
     }
     body = {"fields": list(RECORD_FIELDS), "records": records, "index": index}
+    return _write_framed(path, header, body, compresslevel)
+
+
+def _write_framed(
+    path: os.PathLike, header: Dict[str, Any], body: Dict[str, Any], compresslevel: int
+) -> Path:
+    """Write a gzip file of one JSON header line and one JSON body line.
+
+    The write is atomic (temp file + ``os.replace``), so a crashed save
+    never leaves a truncated file where a good one is expected.
+    """
     destination = Path(path).expanduser()
     destination.parent.mkdir(parents=True, exist_ok=True)
     tmp = destination.with_name(f"{destination.name}.tmp.{os.getpid()}")
@@ -126,28 +137,34 @@ def _read_lines(path: Path) -> List[str]:
         raise TraceError(f"{path} is not a readable trace file: {exc}") from exc
 
 
-def _parse_header(path: Path, line: str) -> Dict[str, Any]:
+def _check_header(
+    path: Path, line: str, kind: str, fmt: str, version: int, required: Sequence[str]
+) -> Dict[str, Any]:
+    """Parse a ``kind`` header line; check its format, version and ``required`` fields."""
     try:
         header = json.loads(line)
     except ValueError as exc:
-        raise TraceError(f"{path}: malformed trace header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format") != TRACE_FORMAT:
-        raise TraceError(f"{path}: not a {TRACE_FORMAT} file")
-    version = header.get("version")
+        raise TraceError(f"{path}: malformed {kind} header: {exc}") from exc
+    if not isinstance(header, dict) or header.get("format") != fmt:
+        raise TraceError(f"{path}: not a {fmt} file")
+    found = header.get("version")
     # The bool check matters: True == 1 in Python, so a hostile header
     # with "version": true would otherwise slip past an equality test.
-    if (
-        not isinstance(version, int)
-        or isinstance(version, bool)
-        or version != TRACE_FORMAT_VERSION
-    ):
+    if not isinstance(found, int) or isinstance(found, bool) or found != version:
         raise TraceError(
-            f"{path}: unsupported trace format version {version!r} "
-            f"(this build reads version {TRACE_FORMAT_VERSION})"
+            f"{path}: unsupported {kind} format version {found!r} "
+            f"(this build reads version {version})"
         )
-    for field in ("name", "instructions"):
-        if field not in header:
-            raise TraceError(f"{path}: trace header is missing {field!r}")
+    for name in required:
+        if name not in header:
+            raise TraceError(f"{path}: {kind} header is missing {name!r}")
+    return header
+
+
+def _parse_header(path: Path, line: str) -> Dict[str, Any]:
+    header = _check_header(
+        path, line, "trace", TRACE_FORMAT, TRACE_FORMAT_VERSION, ("name", "instructions")
+    )
     count = header["instructions"]
     if not isinstance(count, int) or isinstance(count, bool) or count < 1:
         raise TraceError(f"{path}: trace header instruction count {count!r} is not a positive int")
@@ -271,9 +288,9 @@ class WarmCheckpoint:
 def save_checkpoint(checkpoint: WarmCheckpoint, path: os.PathLike, compresslevel: int = 6) -> Path:
     """Write a warm checkpoint using the trace container's gzip-JSON layout.
 
-    Same two-line shape as :func:`save_trace` — a small JSON header line
-    (so ``repro checkpoint info`` never reads the snapshots) followed by
-    the JSON body — and the same atomic temp-file + ``os.replace`` write.
+    Same two-line shape and atomic writer as :func:`save_trace`: a small
+    JSON header line (so ``repro checkpoint info`` never reads the
+    snapshots) followed by the JSON body.
     """
     header = {
         "format": CHECKPOINT_FORMAT,
@@ -292,44 +309,15 @@ def save_checkpoint(checkpoint: WarmCheckpoint, path: os.PathLike, compresslevel
         "snapshots": list(checkpoint.snapshots),
         "warm_stats": checkpoint.warm_stats,
     }
-    destination = Path(path).expanduser()
-    destination.parent.mkdir(parents=True, exist_ok=True)
-    tmp = destination.with_name(f"{destination.name}.tmp.{os.getpid()}")
-    try:
-        with gzip.open(tmp, "wt", encoding="utf-8", compresslevel=compresslevel) as handle:
-            handle.write(json.dumps(header) + "\n")
-            handle.write(json.dumps(body))
-        os.replace(tmp, destination)
-    finally:
-        if tmp.exists():  # only on failure; os.replace consumed it otherwise
-            tmp.unlink()
-    return destination
+    return _write_framed(path, header, body, compresslevel)
 
 
 def _parse_checkpoint_header(path: Path, line: str) -> Dict[str, Any]:
-    try:
-        header = json.loads(line)
-    except ValueError as exc:
-        raise TraceError(f"{path}: malformed checkpoint header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
-        raise TraceError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-    version = header.get("version")
-    # Same bool-vs-int hostility check as trace headers: True == 1.
-    if (
-        not isinstance(version, int)
-        or isinstance(version, bool)
-        or version != CHECKPOINT_FORMAT_VERSION
-    ):
-        raise TraceError(
-            f"{path}: unsupported checkpoint format version {version!r} "
-            f"(this build reads version {CHECKPOINT_FORMAT_VERSION})"
-        )
-    for fname in (
-        "key", "simulator_version", "trace_digest", "trace_name",
-        "instructions", "plan", "windows",
-    ):
-        if fname not in header:
-            raise TraceError(f"{path}: checkpoint header is missing {fname!r}")
+    header = _check_header(
+        path, line, "checkpoint", CHECKPOINT_FORMAT, CHECKPOINT_FORMAT_VERSION,
+        ("key", "simulator_version", "trace_digest", "trace_name",
+         "instructions", "plan", "windows"),
+    )
     if not isinstance(header["key"], str) or not header["key"]:
         raise TraceError(f"{path}: checkpoint key {header['key']!r} is not a non-empty string")
     windows = header["windows"]

@@ -188,12 +188,18 @@ class Trace:
         """A copy of this trace with every instruction's kernel label replaced.
 
         Used by the scenario DSL so that phases of a composed workload stay
-        distinguishable in per-instruction analyses.
+        distinguishable in per-instruction analyses.  Each distinct record
+        is copied once, so the copy holds one object per distinct record.
         """
-        relabelled = [
-            instr if instr.label == label else dataclasses.replace(instr, label=label)
-            for instr in self._instructions
-        ]
+        copies: Dict[Instruction, Instruction] = {}
+        relabelled = []
+        for instr in self._instructions:
+            copy = copies.get(instr)
+            if copy is None:
+                copy = copies[instr] = (
+                    instr if instr.label == label else dataclasses.replace(instr, label=label)
+                )
+            relabelled.append(copy)
         return Trace(relabelled, name=name if name is not None else self.name)
 
     def digest(self) -> str:

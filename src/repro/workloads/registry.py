@@ -18,7 +18,7 @@ under a name::
 
 From that point on the workload behaves exactly like a built-in: it is
 buildable by name through :func:`get_workload`/:func:`build_workload`,
-appears in ``repro workloads`` and ``repro simulate --workload``, and
+appears in ``repro list`` and ``repro simulate --workload``, and
 can be placed in registered suites — with zero edits to the engine, the
 CLI, or the sweep pipeline.
 
@@ -35,7 +35,7 @@ or by decorating a zero-argument factory::
         return Suite("my-suite", [...])
 
 Lookups by unknown name raise ``KeyError`` whose message lists every
-registered name (mirroring ``repro modes`` for machines).  The sweep
+registered name (as machine lookups do).  The sweep
 engine's persistent cache keys are ``(config, suite name, workload
 name, scale, version)`` — registration itself never invalidates caches,
 but changing what a *registered name* generates would silently reuse

@@ -48,9 +48,10 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..common.errors import ConfigurationError, TraceError
+from ..isa.instruction import Instruction
 from ..trace.trace import Trace
 
 #: A phase kernel: ``kernel(size, rng) -> Trace`` where ``size`` is the
@@ -162,9 +163,9 @@ class Scenario:
 
 
 def _concat(pieces: Sequence[Trace], name: str) -> Trace:
-    instructions = []
-    for piece in pieces:
-        instructions.extend(piece)
+    """Join ``pieces`` into one trace holding one object per distinct record."""
+    shared: Dict[Instruction, Instruction] = {}
+    instructions = [shared.setdefault(instr, instr) for piece in pieces for instr in piece]
     return Trace(instructions, name=name)
 
 

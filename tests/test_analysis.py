@@ -12,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from repro import api
 from repro.analysis.lint import (
     LintEngine,
     module_fingerprint,
@@ -421,7 +420,7 @@ class TestCacheKeyCrossCheck:
 
 
 # ---------------------------------------------------------------------------
-# Self-hosting, api facade, CLI
+# Self-hosting, run_lint, CLI
 # ---------------------------------------------------------------------------
 
 
@@ -432,9 +431,9 @@ class TestSelfHostAndSurfaces:
         assert report.files_checked > 50
 
     def test_api_lint(self):
-        report = api.lint()
+        report = run_lint()
         assert report.ok
-        report_bad = api.lint(BAD)
+        report_bad = run_lint(BAD)
         assert not report_bad.ok
 
     def test_cli_exit_codes(self, capsys):

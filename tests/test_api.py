@@ -142,7 +142,7 @@ class TestNewVariants:
     def test_modes_subcommand_lists_machines(self, capsys):
         from repro.cli import main
 
-        assert main(["modes"]) == 0
+        assert main(["list"]) == 0
         out = capsys.readouterr().out
         for name in machine_names():
             assert name in out
@@ -318,13 +318,8 @@ class TestSimulationFacade:
             scaled_baseline(window=32, memory_latency=50),
             scaled_baseline(window=64, memory_latency=50),
         ]
-        messages = []
-        results = api.run_many(
-            configs, traces={"daxpy": small_daxpy_trace}, progress=messages.append
-        )
-        assert [config for config, _ in results] == configs
-        assert len(messages) == 2
-        for _, per_workload in results:
+        for config in configs:
+            per_workload = api.Simulation(config).run_suite({"daxpy": small_daxpy_trace})
             assert per_workload["daxpy"].committed_instructions == len(small_daxpy_trace)
 
     def test_run_many_suite_mode_matches_engine(self):
@@ -337,17 +332,11 @@ class TestSimulationFacade:
         assert per_workload["daxpy"].ipc == reference["daxpy"].ipc
 
     def test_run_many_rejects_probes_in_suite_mode(self):
-        with pytest.raises(ValueError, match="probes"):
+        # Probes cannot cross process or cache boundaries; run_many takes
+        # no probe keyword at all (Simulation.run_suite observes runs).
+        with pytest.raises(TypeError, match="probes"):
             api.run_many(
                 [scaled_baseline(window=64, memory_latency=100)], probes=[Probe()]
-            )
-
-    def test_run_many_rejects_jobs_with_explicit_traces(self, small_daxpy_trace):
-        with pytest.raises(ValueError, match="serially"):
-            api.run_many(
-                [scaled_baseline(window=64, memory_latency=100)],
-                traces={"daxpy": small_daxpy_trace},
-                jobs=2,
             )
 
 

@@ -21,7 +21,7 @@ class TestParser:
         assert "figure09" in out
 
     def test_unknown_experiment_rejected(self, capsys):
-        assert main(["experiment", "figure99"]) == 2
+        assert main(["sweep", "figure99", "--no-cache"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
     def test_simulate_requires_workload_or_suite(self, capsys):
@@ -99,18 +99,17 @@ class TestSimulateCommand:
 class TestExperimentCommand:
     def test_runs_figure07(self, capsys, tmp_path):
         target = tmp_path / "fig07.json"
-        code = main(["experiment", "figure07", "--scale", "0.08", "--json", str(target)])
+        code = main(["sweep", "figure07", "--scale", "0.08", "--quiet", "--json", str(target)])
         assert code == 0
         out = capsys.readouterr().out
         assert "figure07" in out
         payload = json.loads(target.read_text())
-        assert payload["experiment"] == "figure07"
-        assert payload["rows"]
+        assert payload["experiments"]["figure07"]["rows"]
 
 
 class TestWorkloadRegistryCli:
     def test_workloads_command(self, capsys):
-        assert main(["workloads"]) == 0
+        assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "registered workloads:" in out
         assert "registered suites:" in out
@@ -166,17 +165,13 @@ class TestSuiteSweepCli:
         assert main(["sweep", "--suite", "nope", "--no-cache", "--quiet"]) == 2
         assert "registered suites" in capsys.readouterr().err
 
-    def test_experiment_unknown_suite_errors(self, capsys):
-        assert main(["experiment", "figure07", "--suite", "nope", "--no-cache"]) == 2
-        assert "registered suites" in capsys.readouterr().err
-
     def test_sweep_names_with_unknown_suite_errors(self, capsys):
         assert main(["sweep", "figure07", "--suite", "nope", "--no-cache", "--quiet"]) == 2
         assert "registered suites" in capsys.readouterr().err
 
     def test_experiment_accepts_suite_override(self, capsys):
-        assert main(["experiment", "figure07", "--scale", "0.05",
-                     "--suite", "branch-storm", "--no-cache"]) == 0
+        assert main(["sweep", "figure07", "--scale", "0.05",
+                     "--suite", "branch-storm", "--no-cache", "--quiet"]) == 0
         assert "figure07" in capsys.readouterr().out
 
 

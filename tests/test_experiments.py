@@ -21,7 +21,8 @@ from repro.experiments import (
     run_figure14,
     suite_traces,
 )
-from repro.experiments.runner import ExperimentResult, run_config, suite_ipc
+from repro.api import Simulation
+from repro.experiments.runner import ExperimentResult, suite_ipc
 from repro.common.config import scaled_baseline
 
 #: Tiny scale and a reduced workload list keep each figure under ~10 s.
@@ -42,7 +43,7 @@ class TestRunnerInfrastructure:
 
     def test_run_config_and_suite_ipc(self):
         traces = suite_traces(SCALE, workloads=("daxpy",))
-        results = run_config(scaled_baseline(window=64, memory_latency=100), traces)
+        results = Simulation(scaled_baseline(window=64, memory_latency=100)).run_suite(traces)
         assert set(results) == {"daxpy"}
         assert suite_ipc(results) > 0
 

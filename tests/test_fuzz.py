@@ -341,23 +341,6 @@ class TestCampaign:
         leftovers = [p for p in tmp_path.rglob("*") if p.is_file()]
         assert leftovers == []
 
-    def test_run_many_use_cache_false_bypasses_cache(self, tmp_path):
-        from repro.experiments.sweep import ResultCache
-
-        cache = ResultCache(tmp_path / "cache")
-        config = MachineTuning().build_config("baseline")
-        api.run_many(
-            [config],
-            suite="pointer-chase",
-            scale=0.05,
-            workloads=["chase_cold"],
-            cache=cache,
-            use_cache=False,
-            name="fuzz-guard-test",
-        )
-        assert list((tmp_path / "cache").glob("*.json")) == []
-        assert cache.stores == 0
-
 
 class TestFuzzCli:
     def test_smoke_run(self, capsys):

@@ -718,21 +718,6 @@ class TestOptIn:
         assert outcome.retries == 0
         assert outcome.failed_cells == []
 
-    def test_api_run_many_rejects_robust_knobs_with_explicit_traces(self, tmp_path):
-        from repro import api
-        from repro.workloads import numerical
-
-        config = scaled_baseline(window=64, memory_latency=100)
-        trace = numerical.daxpy(elements=50)
-        with pytest.raises(ValueError, match="suite mode"):
-            api.run_many(
-                [config],
-                traces={"daxpy": trace},
-                journal=SweepJournal(tmp_path / "j.jsonl"),
-            )
-        with pytest.raises(ValueError, match="suite mode"):
-            api.run_many([config], traces={"daxpy": trace}, cell_timeout=1.0)
-
 
 class TestRobustnessCLI:
     def test_bad_inject_plan_exits_2(self, capsys):

@@ -421,14 +421,13 @@ class TestSamplingThreading:
     def test_run_many_explicit_traces_sampled(self):
         trace = daxpy(elements=2_000)
         plan = SamplingPlan(period=5_000, window=700, warmup=200)
-        results = api.run_many(
-            [small_baseline()], {"daxpy": trace}, sampling=plan
+        per_workload = api.Simulation(small_baseline(), sampling=plan).run_suite(
+            {"daxpy": trace}
         )
-        (config, per_workload), = results
         assert per_workload["daxpy"].sampled is True
 
     def test_run_many_suite_mode_sampled_and_cached(self, tmp_path):
-        from repro.experiments.sweep import ResultCache
+        from repro.experiments.sweep import ResultCache, SweepEngine
 
         plan = SamplingPlan(period=2_000, window=400, warmup=100)
         cache = ResultCache(tmp_path)
@@ -436,7 +435,7 @@ class TestSamplingThreading:
             suite="pointer-chase",
             workloads=["chase_warm"],
             scale=0.2,
-            cache=cache,
+            engine=SweepEngine(cache=cache),
             sampling=plan,
         )
         results = api.run_many([small_baseline()], **kwargs)
@@ -453,7 +452,7 @@ class TestSamplingThreading:
             suite="pointer-chase",
             workloads=["chase_warm"],
             scale=0.2,
-            cache=cache,
+            engine=SweepEngine(cache=cache),
         )
         assert exact[0][1]["chase_warm"].sampled is False
 

@@ -292,7 +292,7 @@ class TestSweepCLI:
     def test_experiment_no_cache_flag(self, capsys):
         from repro.cli import main
 
-        code = main(["experiment", "figure07", "--scale", "0.08", "--no-cache"])
+        code = main(["sweep", "figure07", "--scale", "0.08", "--no-cache"])
         assert code == 0
         assert "figure07" in capsys.readouterr().out
 

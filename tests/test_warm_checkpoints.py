@@ -322,12 +322,15 @@ class TestWarmSharing:
         """Configs differing only in timing knobs share one functional pass."""
         machines = [machine_config("baseline"), machine_config("cooo")]
         sampling_mod.WARM_PASSES = 0
-        results = api.run_many(
-            machines,
-            traces={trace.name: trace},
-            sampling=PLAN,
-            checkpoint_dir=tmp_path,
-        )
+        results = [
+            (
+                config,
+                api.Simulation(config, sampling=PLAN, checkpoint_dir=tmp_path).run_suite(
+                    {trace.name: trace}
+                ),
+            )
+            for config in machines
+        ]
         assert sampling_mod.WARM_PASSES == 1, (
             "second machine should adopt the first machine's checkpoint"
         )

@@ -22,7 +22,7 @@ from repro.workloads import (
     stream_triad,
 )
 from repro.workloads.builder import TraceBuilder
-from repro.workloads.registry import get_workload, workload_names
+from repro.workloads.registry import get_suite, get_workload, suite_names, workload_names
 
 
 class TestNumericalKernels:
@@ -214,6 +214,13 @@ class TestInterning:
     def test_registered_trace_holds_one_object_per_record(self, name):
         trace = get_workload(name).build(scale=0.05)
         assert len({id(instr) for instr in trace}) == len(set(trace)) < len(trace)
+
+    @pytest.mark.parametrize("suite", suite_names())
+    def test_registered_suite_members_hold_one_object_per_record(self, suite):
+        # Scenario members relabel and join their phase pieces; both steps
+        # must keep the sharing the builder gives every piece.
+        for name, trace in get_suite(suite).build(0.05).items():
+            assert len({id(instr) for instr in trace}) == len(set(trace)), name
 
     def test_repeated_record_is_shared(self):
         builder = TraceBuilder("k")
