@@ -14,17 +14,26 @@ the ``*-daxpy`` entries keep the fully-busy per-cycle path honest.
 ``test_event_driven_speedup_guard`` is the CI tripwire: it counts the
 cycles the event-driven kernel steps on the memory-bound benchmarks and
 fails when they grow past a pinned count, so the fast path cannot
-silently rot back into per-cycle stepping.  Counts are the same on
-every host; the seconds are only printed.
+silently rot back into per-cycle stepping.
+``test_no_bookkeeping_calls_on_the_hot_path`` counts the statistic
+methods and ``DynInst`` properties a run calls, which must be none:
+statistics are updated in place and the stages read ``inst.instr``.
+Counts are the same on every host; the seconds are only printed.
 """
 
+import collections
+import sys
 import time
 
 import pytest
 from conftest import cycle_counter, run_once
 
+from repro.api import Simulation
 from repro.api import run as simulate
-from repro.perf import BENCHMARKS
+from repro.common.config import cooo_config
+from repro.common.stats import Counter, Histogram, RunningMean, WeightedDistribution
+from repro.isa.instruction import DynInst
+from repro.perf import BENCH_MEMORY_LATENCY, BENCHMARKS
 
 _SPECS = {spec.name: spec for spec in BENCHMARKS}
 
@@ -79,6 +88,91 @@ def _stepped_and_skipped(name):
     print(f"\n{name}: stepped {counts['stepped']} of {fast.cycles} cycles; event-driven "
           f"{fast_seconds:.3f}s vs per-cycle {slow_seconds:.3f}s")
     return counts["stepped"], counts["skipped"], fast.cycles
+
+
+#: Per-event statistic methods: hot paths update the fields themselves.
+_STAT_METHODS = {
+    Counter.add: "Counter.add",
+    RunningMean.sample: "RunningMean.sample",
+    RunningMean.sample_many: "RunningMean.sample_many",
+    WeightedDistribution.sample: "WeightedDistribution.sample",
+    Histogram.add: "Histogram.add",
+}
+
+
+def _late_allocation_config():
+    return cooo_config(
+        iq_size=64,
+        sliq_size=1024,
+        memory_latency=BENCH_MEMORY_LATENCY,
+        late_allocation=True,
+        physical_registers=96,
+    )
+
+
+#: Runs of the no-bookkeeping guard, name -> (config factory, trace
+#: factory): both machines on the busy path, the SLIQ paths (re-insertion,
+#: pressure evictions) on the pointer chase, and late allocation (forced
+#: claims) on daxpy.
+_BOOKKEEPING_RUNS = {
+    name: (_SPECS[name].config, _SPECS[name].trace)
+    for name in ("baseline-4096-daxpy", "cooo-64-1024-daxpy", "cooo-64-1024")
+}
+_BOOKKEEPING_RUNS["cooo-late-alloc-daxpy"] = (
+    _late_allocation_config,
+    _SPECS["cooo-64-1024-daxpy"].trace,
+)
+
+
+def _bookkeeping_calls(config, trace):
+    """Calls to a statistic method or a ``DynInst`` property during ``run()``.
+
+    Counted by a ``sys.setprofile`` hook around the pipeline's ``run``
+    only (construction registers the statistics and is not counted).
+    """
+    names = {method.__code__: name for method, name in _STAT_METHODS.items()}
+    for attribute, value in vars(DynInst).items():
+        if isinstance(value, property):
+            names[value.fget.__code__] = f"DynInst.{attribute}"
+    counts = collections.Counter()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            name = names.get(frame.f_code)
+            if name is not None:
+                counts[name] += 1
+
+    pipeline = Simulation(config).pipeline(trace)
+    sys.setprofile(hook)
+    try:
+        result = pipeline.run()
+    finally:
+        sys.setprofile(None)
+    return counts, result
+
+
+@pytest.mark.parametrize("name", list(_BOOKKEEPING_RUNS))
+def test_no_bookkeeping_calls_on_the_hot_path(name):
+    """A run makes no statistic-method call and reads no ``DynInst`` property.
+
+    Every per-event statistic is updated in place (``counter.value += 1``,
+    one dict update for a histogram or distribution, the occupancy means
+    field by field) and the stages read decoded fields from
+    ``inst.instr``; the methods and properties stay for cold callers,
+    observers and tests.  The count is exact on every host.
+    """
+    config_factory, trace_factory = _BOOKKEEPING_RUNS[name]
+    counts, result = _bookkeeping_calls(config_factory(), trace_factory())
+    assert not counts, (
+        f"{name}: {sum(counts.values())} bookkeeping calls during run(): "
+        f"{dict(counts.most_common())}"
+    )
+    # The runs must reach the paths they are here for.
+    assert result.stat("commit.instructions") > 0
+    if name == "cooo-64-1024":
+        assert result.stat("sliq.reinserts") > 0 and result.stat("sliq.pressure_evictions") > 0
+    if name == "cooo-late-alloc-daxpy":
+        assert result.stat("prf.late_alloc_forced_claims") > 0
 
 
 def test_bench_record_rows_are_machine_readable(tmp_path):

@@ -34,9 +34,9 @@ class BranchTargetBuffer:
         """Predicted target of the branch at ``pc`` or None on a BTB miss."""
         index = self._index(pc)
         if self._tags[index] == pc:
-            self._hits.add()
+            self._hits.value += 1
             return self._targets[index]
-        self._misses.add()
+        self._misses.value += 1
         return None
 
     def update(self, pc: int, target: int) -> None:

@@ -35,9 +35,9 @@ class BranchPredictor(ABC):
 
     def record_outcome(self, predicted: bool, actual: bool) -> None:
         """Book-keeping used by the pipeline; counts accuracy statistics."""
-        self._predictions.add()
+        self._predictions.value += 1
         if predicted != actual:
-            self._mispredictions.add()
+            self._mispredictions.value += 1
 
     def warm(self, pc: int, taken: bool) -> None:
         """Train on one fast-forwarded branch without accuracy statistics.

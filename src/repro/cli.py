@@ -153,16 +153,23 @@ def parse_sampling(args: argparse.Namespace) -> Optional[SamplingPlan]:
         raise SystemExit(2)
 
 
+def sampling_levers_without_plan(args: argparse.Namespace) -> bool:
+    """Report --sample-jobs/--checkpoint-dir given without --sample.
+
+    Both only act on a sampled run, so a command refuses them (exit 2)
+    rather than silently ignoring them.  Returns True when it printed
+    the error.
+    """
+    if args.sample or (args.sample_jobs is None and args.checkpoint_dir is None):
+        return False
+    print("error: --sample-jobs/--checkpoint-dir require --sample", file=sys.stderr)
+    return True
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = build_machine(args)
     sampling = parse_sampling(args)
-    sample_jobs = getattr(args, "sample_jobs", None)
-    checkpoint_dir = getattr(args, "checkpoint_dir", None)
-    if sampling is None and (sample_jobs is not None or checkpoint_dir is not None):
-        print(
-            "error: --sample-jobs/--checkpoint-dir require --sample",
-            file=sys.stderr,
-        )
+    if sampling_levers_without_plan(args):
         return 2
     # Workload and suite names resolve through the registry at run time,
     # so registered plugins are usable without parser edits; unknown
@@ -181,8 +188,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     simulation = Simulation(
         config,
         sampling=sampling,
-        sample_jobs=sample_jobs,
-        checkpoint_dir=checkpoint_dir,
+        sample_jobs=args.sample_jobs,
+        checkpoint_dir=args.checkpoint_dir,
     )
     rows: List[Dict[str, object]] = []
     results = {}
@@ -644,6 +651,8 @@ def cmd_suite_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if sampling_levers_without_plan(args):
+        return 2
     if args.suite:
         # Resolve --suite up front so unknown names exit cleanly.
         try:

@@ -5,6 +5,15 @@ shared :class:`StatsRegistry`.  The registry is deliberately simple — a
 flat namespace of named statistics — so the experiment harness can dump
 everything into result tables without knowing which module produced which
 number.
+
+The simulator's hot paths update a statistic's fields in place
+(``counter.value += 1``, one dict update of ``histogram.buckets``)
+rather than calling its methods: an event happens several times per
+simulated instruction, and a Python call costs more than the update.
+The methods (``Counter.add``, ``RunningMean.sample``/``sample_many``,
+``Histogram.add``, ``WeightedDistribution.sample``) stay for cold
+callers — sampled execution, registry merges and tests — and define
+what an in-place update must do.
 """
 
 from __future__ import annotations
@@ -165,18 +174,19 @@ class WeightedDistribution:
     N instructions" percentile curves.
     """
 
-    __slots__ = ("name", "_weights")
+    __slots__ = ("name", "weights")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._weights: Dict[int, int] = {}
+        #: value -> total weight (cycles) it was observed for.
+        self.weights: Dict[int, int] = {}
 
     def sample(self, value: int, weight: int = 1) -> None:
-        self._weights[value] = self._weights.get(value, 0) + weight
+        self.weights[value] = self.weights.get(value, 0) + weight
 
     @property
     def total_weight(self) -> int:
-        return sum(self._weights.values())
+        return sum(self.weights.values())
 
     def percentile(self, fraction: float) -> int:
         """Smallest value v such that at least ``fraction`` of the weight is <= v."""
@@ -185,20 +195,20 @@ class WeightedDistribution:
             return 0
         target = fraction * total
         cumulative = 0
-        for value in sorted(self._weights):
-            cumulative += self._weights[value]
+        for value in sorted(self.weights):
+            cumulative += self.weights[value]
             if cumulative >= target:
                 return value
-        return max(self._weights)
+        return max(self.weights)
 
     def mean(self) -> float:
         total = self.total_weight
         if total == 0:
             return 0.0
-        return sum(v * w for v, w in self._weights.items()) / total
+        return sum(v * w for v, w in self.weights.items()) / total
 
     def reset(self) -> None:
-        self._weights.clear()
+        self.weights.clear()
 
 
 class StatsRegistry:
@@ -265,7 +275,7 @@ class StatsRegistry:
             data[name] = histogram.as_dict()
         for name, dist in self._distributions.items():
             data[name] = {
-                "weights": {int(k): v for k, v in dist._weights.items()},
+                "weights": {int(k): v for k, v in dist.weights.items()},
                 "mean": dist.mean(),
             }
         return data
@@ -294,7 +304,7 @@ class StatsRegistry:
                 (name, list(h.buckets.items())) for name, h in self._histograms.items()
             ],
             "distributions": [
-                (name, list(d._weights.items())) for name, d in self._distributions.items()
+                (name, list(d.weights.items())) for name, d in self._distributions.items()
             ],
         }
 

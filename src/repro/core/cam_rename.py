@@ -109,28 +109,30 @@ class CAMRenamer:
 
     def can_rename(self, inst: DynInst) -> bool:
         """True if a free destination register is available (or none is needed)."""
-        return inst.dest is None or self.regfile.has_free()
+        return inst.instr.dest is None or self.regfile.has_free()
 
     # -- renaming -------------------------------------------------------------------
     def rename(self, inst: DynInst) -> Tuple[List[int], Optional[int], Optional[int]]:
         """Rename ``inst`` in place, maintaining Valid and Future Free bits."""
-        phys_srcs = [self._map[src] for src in inst.srcs]
+        instr = inst.instr
+        phys_srcs = [self._map[src] for src in instr.srcs]
         phys_dest: Optional[int] = None
         old_phys_dest: Optional[int] = None
-        if inst.dest is not None:
+        dest = instr.dest
+        if dest is not None:
             phys_dest = self.regfile.allocate()
-            old_phys_dest = self._map[inst.dest]
+            old_phys_dest = self._map[dest]
             # Displace the previous mapping: it is no longer valid and must
             # be freed when the window containing this instruction commits.
             self._valid[old_phys_dest] = False
             self._future_free[old_phys_dest] = True
             self._valid[phys_dest] = True
-            self._logical_of[phys_dest] = inst.dest
-            self._map[inst.dest] = phys_dest
+            self._logical_of[phys_dest] = dest
+            self._map[dest] = phys_dest
         inst.phys_srcs = phys_srcs
         inst.phys_dest = phys_dest
         inst.old_phys_dest = old_phys_dest
-        self._renames.add()
+        self._renames.value += 1
         return phys_srcs, phys_dest, old_phys_dest
 
     # -- squash-time undo --------------------------------------------------------------
@@ -145,13 +147,14 @@ class CAMRenamer:
         """
         if inst.phys_dest is None:
             return
-        if inst.dest is None or inst.old_phys_dest is None:
+        dest = inst.instr.dest
+        if dest is None or inst.old_phys_dest is None:
             raise RenameError(f"cannot undo rename of seq={inst.seq}: missing old mapping")
         new, old = inst.phys_dest, inst.old_phys_dest
-        if self._map[inst.dest] != new:
+        if self._map[dest] != new:
             raise RenameError(
-                f"undo out of order: {regs.reg_name(inst.dest)} maps to "
-                f"{self._map[inst.dest]}, expected {new}"
+                f"undo out of order: {regs.reg_name(dest)} maps to "
+                f"{self._map[dest]}, expected {new}"
             )
         self._valid[new] = False
         self._future_free[new] = False
@@ -159,8 +162,8 @@ class CAMRenamer:
         self.regfile.free(new)
         self._valid[old] = True
         self._future_free[old] = False
-        self._logical_of[old] = inst.dest
-        self._map[inst.dest] = old
+        self._logical_of[old] = dest
+        self._map[dest] = old
 
     # -- checkpoint interface ----------------------------------------------------------
     def take_snapshot(self) -> RenameSnapshot:
@@ -216,7 +219,7 @@ class CAMRenamer:
         for phys in valid_set | set(reserved):
             if ready_regs[phys]:
                 self.regfile.set_ready(phys)
-        self._checkpoint_restores.add()
+        self._checkpoint_restores.value += 1
 
     # -- invariants (used by property-based tests) ------------------------------------------
     def check_invariants(self, reserved: Set[int] = frozenset()) -> None:

@@ -76,7 +76,7 @@ class Checkpoint:
         self.pending_count += 1
         self.instruction_count += 1
         self.instructions.append(inst)
-        if inst.is_store:
+        if inst.instr.is_store:
             self.store_count += 1
             self.stores.append(inst)
 
@@ -99,7 +99,7 @@ class Checkpoint:
                     f"pending count underflow while disassociating from checkpoint {self.uid}"
                 )
             self.pending_count -= 1
-        if inst.is_store:
+        if inst.instr.is_store:
             self.store_count -= 1
             if inst in self.stores:
                 self.stores.remove(inst)
@@ -135,13 +135,13 @@ class CheckpointTable:
 
     __slots__ = (
         "capacity",
+        "occupancy_mean",
         "_entries",
         "_next_uid",
         "_created",
         "_committed",
         "_rollbacks",
         "_full_stalls",
-        "_occupancy_samples",
     )
 
     def __init__(self, capacity: int, stats: StatsRegistry) -> None:
@@ -154,7 +154,8 @@ class CheckpointTable:
         self._committed = stats.counter("checkpoint.committed")
         self._rollbacks = stats.counter("checkpoint.rollbacks")
         self._full_stalls = stats.counter("checkpoint.full_stalls")
-        self._occupancy_samples = stats.running_mean("checkpoint.occupancy")
+        #: Sampled by the pipeline at the end of every cycle.
+        self.occupancy_mean = stats.running_mean("checkpoint.occupancy")
 
     # -- capacity -------------------------------------------------------------
     @property
@@ -170,10 +171,7 @@ class CheckpointTable:
         return not self._entries
 
     def note_full_stall(self, cycles: int = 1) -> None:
-        self._full_stalls.add(cycles)
-
-    def sample_occupancy(self, cycles: int = 1) -> None:
-        self._occupancy_samples.sample_many(len(self._entries), cycles)
+        self._full_stalls.value += cycles
 
     # -- access ------------------------------------------------------------------
     def oldest(self) -> Optional[Checkpoint]:
@@ -223,14 +221,14 @@ class CheckpointTable:
         )
         self._next_uid += 1
         self._entries.append(checkpoint)
-        self._created.add()
+        self._created.value += 1
         return checkpoint
 
     def pop_oldest(self) -> Checkpoint:
         """Remove the oldest checkpoint after it committed."""
         if not self._entries:
             raise CheckpointError("pop from an empty checkpoint table")
-        self._committed.add()
+        self._committed.value += 1
         return self._entries.popleft()
 
     def discard_younger_than(self, checkpoint: Checkpoint) -> List[Checkpoint]:
@@ -240,7 +238,7 @@ class CheckpointTable:
         discarded: List[Checkpoint] = []
         while self._entries and self._entries[-1] is not checkpoint:
             discarded.append(self._entries.pop())
-        self._rollbacks.add()
+        self._rollbacks.value += 1
         return discarded
 
     def discard_younger_than_seq(self, seq: int) -> List[Checkpoint]:
@@ -308,8 +306,9 @@ class CheckpointPolicy:
     def should_checkpoint(self, inst: DynInst) -> bool:
         """True if a checkpoint must be taken *before* dispatching ``inst``."""
         policy = self.config.policy
+        instr = inst.instr
         if policy == "paper":
-            if inst.is_branch and self._since_last >= self.config.branch_threshold:
+            if instr.is_branch and self._since_last >= self.config.branch_threshold:
                 return True
             if self._since_last >= self.config.instruction_threshold:
                 return True
@@ -319,11 +318,11 @@ class CheckpointPolicy:
         if policy == "every_n":
             return self._since_last >= self.config.branch_threshold
         if policy == "branch_only":
-            if inst.is_branch and self._since_last >= self.config.branch_threshold:
+            if instr.is_branch and self._since_last >= self.config.branch_threshold:
                 return True
             return self._since_last >= self.config.instruction_threshold
         if policy == "store_only":
-            if inst.is_store and self._stores_since_last >= self.config.store_threshold:
+            if instr.is_store and self._stores_since_last >= self.config.store_threshold:
                 return True
             return self._since_last >= self.config.instruction_threshold
         raise CheckpointError(f"unknown checkpoint policy {policy!r}")
@@ -331,7 +330,7 @@ class CheckpointPolicy:
     def account(self, inst: DynInst) -> None:
         """Record that ``inst`` was dispatched into the current window."""
         self._since_last += 1
-        if inst.is_store:
+        if inst.instr.is_store:
             self._stores_since_last += 1
 
     def checkpoint_taken(self) -> None:

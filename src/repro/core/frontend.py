@@ -128,7 +128,7 @@ class FetchUnit:
                 break
             trace_index = self.cursor.position
             self.cursor.fetch()
-            self._fetched.add()
+            self._fetched.value += 1
             # History *before* this instruction's own prediction: the
             # state a re-fetch after a checkpoint rollback must resume
             # under (otherwise the rolled-back wrong path leaves the
@@ -140,7 +140,7 @@ class FetchUnit:
                 mispredicted = self._handle_branch(instr, trace_index)
             block.append(FetchedInstruction(trace_index, instr, mispredicted, history))
             if instr.is_branch and instr.branch_taken:
-                self._redirects.add()
+                self._redirects.value += 1
                 break
         return block
 

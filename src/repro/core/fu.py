@@ -31,9 +31,9 @@ class FunctionalUnitPool:
         for index, until in enumerate(busy):
             if until <= cycle:
                 busy[index] = cycle + occupancy_cycles
-                self._issues.add()
+                self._issues.value += 1
                 return True
-        self._structural_stalls.add()
+        self._structural_stalls.value += 1
         return False
 
 

@@ -77,14 +77,14 @@ class InstructionQueue:
     __slots__ = (
         "name",
         "capacity",
-        "_occupancy",
+        "occupancy",
+        "occupancy_mean",
         "_waiting",
         "_ready_heap",
         "_tick",
         "_inserts",
         "_issues",
         "_full_stalls",
-        "_occupancy_mean",
     )
 
     def __init__(self, name: str, capacity: int, stats: StatsRegistry) -> None:
@@ -92,7 +92,8 @@ class InstructionQueue:
             raise StructuralHazardError(f"{name}: capacity must be positive")
         self.name = name
         self.capacity = capacity
-        self._occupancy = 0
+        #: Resident instructions (read-only outside the queue).
+        self.occupancy = 0
         self._waiting: Set[DynInst] = set()
         self._ready_heap: List[tuple] = []
         # Heap tiebreak for same-seq entries (an instruction re-pushed by
@@ -102,25 +103,19 @@ class InstructionQueue:
         self._inserts = stats.counter(f"{name}.inserts")
         self._issues = stats.counter(f"{name}.issues")
         self._full_stalls = stats.counter(f"{name}.full_stalls")
-        self._occupancy_mean = stats.running_mean(f"{name}.occupancy")
+        #: Sampled by the pipeline at the end of every cycle.
+        self.occupancy_mean = stats.running_mean(f"{name}.occupancy")
 
     # -- capacity ---------------------------------------------------------------
     @property
-    def occupancy(self) -> int:
-        return self._occupancy
-
-    @property
     def is_full(self) -> bool:
-        return self._occupancy >= self.capacity
+        return self.occupancy >= self.capacity
 
     def free_entries(self) -> int:
-        return self.capacity - self._occupancy
+        return self.capacity - self.occupancy
 
     def note_full_stall(self, cycles: int = 1) -> None:
-        self._full_stalls.add(cycles)
-
-    def sample_occupancy(self, cycles: int = 1) -> None:
-        self._occupancy_mean.sample_many(self._occupancy, cycles)
+        self._full_stalls.value += cycles
 
     # -- insertion --------------------------------------------------------------------
     def insert(
@@ -130,15 +125,14 @@ class InstructionQueue:
         wakeup: WakeupNetwork,
     ) -> None:
         """Place ``inst`` in the queue and subscribe it to missing operands."""
-        if self._occupancy >= self.capacity:
+        if self.occupancy >= self.capacity:
             raise StructuralHazardError(f"{self.name} overflow")
-        is_ready = regfile.is_ready
-        pending = {p for p in inst.phys_srcs if not is_ready(p)}
+        pending = regfile.unready(inst.phys_srcs)
         inst.pending_srcs = pending
         inst.in_iq = True
         inst.iq = self
-        self._occupancy += 1
-        self._inserts.add()
+        self.occupancy += 1
+        self._inserts.value += 1
         if pending:
             self._waiting.add(inst)
             wakeup.register(inst, pending)
@@ -197,7 +191,7 @@ class InstructionQueue:
         heapq.heappush(self._ready_heap, (inst.seq, next(self._tick), inst))
 
     def record_issue(self) -> None:
-        self._issues.add()
+        self._issues.value += 1
 
     # -- removal -----------------------------------------------------------------------
     def remove(self, inst: DynInst) -> None:
@@ -205,9 +199,9 @@ class InstructionQueue:
         if not inst.in_iq:
             return
         inst.in_iq = False
-        self._occupancy -= 1
+        self.occupancy -= 1
         self._waiting.discard(inst)
-        if self._occupancy < 0:
+        if self.occupancy < 0:
             raise StructuralHazardError(f"{self.name}: occupancy underflow")
 
     def youngest_waiting(self) -> Optional[DynInst]:

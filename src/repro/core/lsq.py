@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 
 from ..common.errors import StructuralHazardError
 from ..common.stats import StatsRegistry
-from ..isa.instruction import DynInst
+from ..isa.instruction import DynInst, InstState
 
 
 def _word_address(addr: int) -> int:
@@ -28,55 +28,51 @@ class LoadStoreQueue:
 
     __slots__ = (
         "capacity",
-        "_occupancy",
+        "occupancy",
+        "occupancy_mean",
         "_stores_by_word",
         "_inserts",
         "_forwards",
         "_full_stalls",
-        "_occupancy_mean",
     )
 
     def __init__(self, capacity: int, stats: StatsRegistry) -> None:
         if capacity <= 0:
             raise StructuralHazardError("LSQ capacity must be positive")
         self.capacity = capacity
-        self._occupancy = 0
+        #: Allocated entries (read-only outside the queue).
+        self.occupancy = 0
         self._stores_by_word: Dict[int, List[DynInst]] = {}
         self._inserts = stats.counter("lsq.inserts")
         self._forwards = stats.counter("lsq.store_forwards")
         self._full_stalls = stats.counter("lsq.full_stalls")
-        self._occupancy_mean = stats.running_mean("lsq.occupancy")
+        #: Sampled by the pipeline at the end of every cycle.
+        self.occupancy_mean = stats.running_mean("lsq.occupancy")
 
     # -- capacity --------------------------------------------------------------------
     @property
-    def occupancy(self) -> int:
-        return self._occupancy
-
-    @property
     def is_full(self) -> bool:
-        return self._occupancy >= self.capacity
+        return self.occupancy >= self.capacity
 
     def free_entries(self) -> int:
-        return self.capacity - self._occupancy
+        return self.capacity - self.occupancy
 
     def note_full_stall(self, cycles: int = 1) -> None:
-        self._full_stalls.add(cycles)
-
-    def sample_occupancy(self, cycles: int = 1) -> None:
-        self._occupancy_mean.sample_many(self._occupancy, cycles)
+        self._full_stalls.value += cycles
 
     # -- allocation ---------------------------------------------------------------------
     def allocate(self, inst: DynInst) -> None:
         """Give ``inst`` (a load or store) an LSQ entry at dispatch."""
-        if not inst.is_memory:
+        instr = inst.instr
+        if not instr.is_memory:
             raise StructuralHazardError("only memory instructions occupy the LSQ")
-        if self.is_full:
+        if self.occupancy >= self.capacity:
             raise StructuralHazardError("LSQ overflow")
         inst.lsq_index = inst.seq
-        self._occupancy += 1
-        self._inserts.add()
-        if inst.is_store:
-            word = _word_address(inst.instr.mem_addr or 0)
+        self.occupancy += 1
+        self._inserts.value += 1
+        if instr.is_store:
+            word = _word_address(instr.mem_addr or 0)
             self._stores_by_word.setdefault(word, []).append(inst)
 
     def release(self, inst: DynInst) -> None:
@@ -84,11 +80,12 @@ class LoadStoreQueue:
         if inst.lsq_index is None:
             return
         inst.lsq_index = None
-        self._occupancy -= 1
-        if self._occupancy < 0:
+        self.occupancy -= 1
+        if self.occupancy < 0:
             raise StructuralHazardError("LSQ occupancy underflow")
-        if inst.is_store:
-            word = _word_address(inst.instr.mem_addr or 0)
+        instr = inst.instr
+        if instr.is_store:
+            word = _word_address(instr.mem_addr or 0)
             stores = self._stores_by_word.get(word)
             if stores and inst in stores:
                 stores.remove(inst)
@@ -103,10 +100,10 @@ class LoadStoreQueue:
         if not stores:
             return None
         for store in reversed(stores):
-            if store.squashed or store.lsq_index is None:
+            if store.state is InstState.SQUASHED or store.lsq_index is None:
                 continue
             if store.seq < load.seq:
-                self._forwards.add()
+                self._forwards.value += 1
                 return store
         return None
 
@@ -114,5 +111,5 @@ class LoadStoreQueue:
     def remove_squashed(self, squashed: List[DynInst]) -> None:
         """Release the entries of squashed memory instructions."""
         for inst in squashed:
-            if inst.is_memory and inst.lsq_index is not None:
+            if inst.instr.is_memory and inst.lsq_index is not None:
                 self.release(inst)

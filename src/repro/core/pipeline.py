@@ -24,6 +24,12 @@ behind Figures 7 and 11.  Every end-of-cycle occupancy is recorded by
 one method, ``_sample_cycles``, which a stepped cycle calls with 1 and
 the event-driven kernel with the length of each skipped span.  Outside
 observers attach through :mod:`repro.core.probes`.
+
+The stages read an instruction's decoded fields from the shared trace
+record (``inst.instr.dest``, ``inst.instr.is_load``, ...) and its state
+directly (``inst.state is InstState.SQUASHED``); the ``DynInst``
+pass-through properties are for observers.  Statistics are updated in
+place (``counter.value += 1``), never through a method call per event.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from typing import Callable, Deque, List, Optional, Sequence, Set, Tuple
 
 from ..common.config import ProcessorConfig
 from ..common.errors import DeadlockError, SimulationError
-from ..common.stats import StatsRegistry
+from ..common.stats import Counter, StatsRegistry
 from ..isa.instruction import DynInst, InstState, RetireClass
 from ..memory.hierarchy import CacheHierarchy
 from ..trace.trace import Trace
@@ -135,8 +141,8 @@ class PipelineBase:
         self._live_mean = stats.running_mean("occupancy.live")
         self._live_fp_long_mean = stats.running_mean("occupancy.live_fp_long")
         self._live_fp_short_mean = stats.running_mean("occupancy.live_fp_short")
-        self._in_flight_dist = stats.distribution("occupancy.in_flight_dist")
-        self._live_dist = stats.distribution("occupancy.live_dist")
+        self._in_flight_weights = stats.distribution("occupancy.in_flight_dist").weights
+        self._live_weights = stats.distribution("occupancy.live_dist").weights
 
         self._probes: List[Probe] = []
         #: Bulk idle-span hooks of skip-aware probes (see Probe.on_idle_cycles).
@@ -243,7 +249,7 @@ class PipelineBase:
         if inst.in_iq:
             queue: InstructionQueue = inst.iq
             queue.remove(inst)
-        if inst.is_memory and inst.lsq_index is not None:
+        if inst.instr.is_memory and inst.lsq_index is not None:
             self.lsq.release(inst)
         inst.mark_squashed()
 
@@ -406,6 +412,10 @@ class PipelineBase:
         """
         return None
 
+    def _note_dispatch_stall(self, cycles: int = 1) -> None:
+        """Dispatch stood still for ``cycles`` cycles (a stall effect)."""
+        self._dispatch_stalls.value += cycles
+
     def _account_idle_cycles(
         self, cycles: int, effects: Tuple[Callable[[int], None], ...]
     ) -> None:
@@ -448,11 +458,11 @@ class PipelineBase:
         the number of cycles it skips.
         """
         if queue.is_full:
-            return (queue.note_full_stall, self._dispatch_stalls.add)
-        if inst.is_memory and self.lsq.is_full:
-            return (self.lsq.note_full_stall, self._dispatch_stalls.add)
+            return (queue.note_full_stall, self._note_dispatch_stall)
+        if inst.instr.is_memory and self.lsq.is_full:
+            return (self.lsq.note_full_stall, self._note_dispatch_stall)
         if not self.renamer.can_rename(inst):
-            return (self._dispatch_stalls.add,)
+            return (self._note_dispatch_stall,)
         return None
 
     def _enter_window(self, inst: DynInst) -> None:
@@ -545,13 +555,14 @@ class PipelineBase:
 
     def _execution_time(self, inst: DynInst) -> int:
         """Cycles from issue to completion, including any memory access."""
-        base = self.units.latency(inst.instr.op)
-        if inst.is_load:
+        instr = inst.instr
+        base = self.units.latency(instr.op)
+        if instr.is_load:
             forwarding_store = self.lsq.forwarding_store(inst)
             if forwarding_store is not None:
                 return base + 1
             access = self.hierarchy.data_access(
-                inst.instr.mem_addr or 0, False, self.cycle, pc=inst.instr.pc
+                instr.mem_addr or 0, False, self.cycle, pc=instr.pc
             )
             inst.l2_miss = access.l2_miss
             if access.l2_miss:
@@ -590,9 +601,10 @@ class PipelineBase:
             for hook in self._hooks_complete:
                 hook(self, inst)
         self._on_complete(inst)
-        if inst.is_branch and inst.mispredicted:
+        instr = inst.instr
+        if instr.is_branch and inst.mispredicted:
             self._resolve_branch(inst)
-        if inst.instr.raises_exception:
+        if instr.raises_exception:
             self._handle_exception(inst)
         return True
 
@@ -608,25 +620,21 @@ class PipelineBase:
         with the length of a skipped span.  Nothing enters or leaves a
         structure during an idle span, so its samples are the current
         values repeated ``cycles`` times, and the weighted forms
-        accumulate exactly what per-cycle sampling would.  Machines
-        extend this with their own structures.
+        accumulate exactly what per-cycle sampling would.
+
+        It runs once per stepped cycle and once per skipped span, so
+        each machine implements it as one flat method: the issue
+        queues, the LSQ, the window counts and its own structures, each
+        ``RunningMean`` updated in place exactly as
+        ``RunningMean.sample_many`` would, and each occupancy
+        distribution with one dict update.
         """
-        self.int_queue.sample_occupancy(cycles)
-        self.fp_queue.sample_occupancy(cycles)
-        self.lsq.sample_occupancy(cycles)
-        in_flight = self.in_flight
-        live = self.live
-        self._in_flight_mean.sample_many(in_flight, cycles)
-        self._live_mean.sample_many(live, cycles)
-        self._live_fp_long_mean.sample_many(self.live_fp_long, cycles)
-        self._live_fp_short_mean.sample_many(self.live_fp_short, cycles)
-        self._in_flight_dist.sample(in_flight, cycles)
-        self._live_dist.sample(live, cycles)
+        raise NotImplementedError
 
     # -- bookkeeping --------------------------------------------------------------------------------
     def _note_commit(self, count: int = 1) -> None:
         self.committed += count
-        self._committed_counter.add(count)
+        self._committed_counter.value += count
         self._last_commit_cycle = self.cycle
         if self._pending_marks:
             marks = self._pending_marks
@@ -687,7 +695,7 @@ class BaselinePipeline(PipelineBase):
             self.fetch_buffer.popleft()
             self.renamer.rename(inst)
             self.rob.insert(inst)
-            if inst.is_memory:
+            if inst.instr.is_memory:
                 self.lsq.allocate(inst)
             queue.insert(inst, self.regfile, self.wakeup)
             self._enter_window(inst)
@@ -696,7 +704,7 @@ class BaselinePipeline(PipelineBase):
     def _rob_stall(self) -> Optional[Tuple[Callable[[int], None], ...]]:
         """The ROB-full verdict: dispatch's stall effects, or ``None`` if an entry is free."""
         if self.rob.is_full:
-            return (self.rob.note_full_stall, self._dispatch_stalls.add)
+            return (self.rob.note_full_stall, self._note_dispatch_stall)
         return None
 
     # -- commit ---------------------------------------------------------------------------
@@ -706,15 +714,14 @@ class BaselinePipeline(PipelineBase):
             return
         for inst in self.rob.committable(self.config.core.commit_width):
             self.rob.commit_head()
-            if inst.is_store:
-                self.hierarchy.data_access(
-                    inst.instr.mem_addr or 0, True, self.cycle, pc=inst.instr.pc
-                )
-            if inst.is_memory:
+            instr = inst.instr
+            if instr.is_store:
+                self.hierarchy.data_access(instr.mem_addr or 0, True, self.cycle, pc=instr.pc)
+            if instr.is_memory:
                 self.lsq.release(inst)
             self.renamer.release_on_commit(inst)
-            if inst.instr.raises_exception:
-                self._exceptions_delivered.add()
+            if instr.raises_exception:
+                self._exceptions_delivered.value += 1
             inst.state = InstState.COMMITTED
             inst.commit_cycle = self.cycle
             self._retire_from_window(inst)
@@ -723,16 +730,16 @@ class BaselinePipeline(PipelineBase):
     # -- misprediction recovery ------------------------------------------------------
     def _resolve_branch(self, branch: DynInst) -> None:
         """Squash everything younger than the branch and redirect fetch."""
-        self._branch_recoveries.add()
+        self._branch_recoveries.value += 1
         buffered = list(self.fetch_buffer)
         self.fetch_buffer.clear()
         for inst in reversed(buffered):
             self._squash_bookkeeping(inst)
-            self._squashed_counter.add()
+            self._squashed_counter.value += 1
         for inst in self.rob.squash_younger_than(branch.seq):  # youngest first
             self.renamer.undo_rename(inst)
             self._squash_bookkeeping(inst)
-            self._squashed_counter.add()
+            self._squashed_counter.value += 1
         self.frontend.redirect(
             branch.trace_index + 1, self.cycle + self.config.branch.penalty
         )
@@ -756,8 +763,29 @@ class BaselinePipeline(PipelineBase):
         return self._rob_stall() or self._dispatch_stall(inst, self._queue_for(inst))
 
     def _sample_cycles(self, cycles: int) -> None:
-        super()._sample_cycles(cycles)
-        self._rob_occupancy_mean.sample_many(self.rob.occupancy, cycles)
+        in_flight = self.in_flight
+        live = self.live
+        int_queue, fp_queue, lsq = self.int_queue, self.fp_queue, self.lsq
+        for mean, value in (
+            (int_queue.occupancy_mean, int_queue.occupancy),
+            (fp_queue.occupancy_mean, fp_queue.occupancy),
+            (lsq.occupancy_mean, lsq.occupancy),
+            (self._in_flight_mean, in_flight),
+            (self._live_mean, live),
+            (self._live_fp_long_mean, self.live_fp_long),
+            (self._live_fp_short_mean, self.live_fp_short),
+            (self._rob_occupancy_mean, self.rob.occupancy),
+        ):
+            mean.count += cycles
+            mean.total += value * cycles
+            if mean.min is None or value < mean.min:
+                mean.min = value
+            if mean.max is None or value > mean.max:
+                mean.max = value
+        weights = self._in_flight_weights
+        weights[in_flight] = weights.get(in_flight, 0) + cycles
+        weights = self._live_weights
+        weights[live] = weights.get(live, 0) + cycles
 
 
 @register_machine(
@@ -808,6 +836,10 @@ class OoOCommitPipeline(PipelineBase):
         self._checkpoint_recoveries = self.stats.counter("branch.checkpoint_recoveries")
         self._exception_rollbacks = self.stats.counter("exceptions.rollbacks")
         self._squashed_counter = self.stats.counter("squash.instructions")
+        # Registered on their first event, so a result carries these keys
+        # only when the event fired.
+        self._forced_claims: Optional[Counter] = None
+        self._pressure_evictions: Optional[Counter] = None
 
     # -- configuration hooks ------------------------------------------------------------
     def _register_identifier_count(self) -> int:
@@ -835,7 +867,7 @@ class OoOCommitPipeline(PipelineBase):
                 return
             self.fetch_buffer.popleft()
             self.renamer.rename(inst)
-            if inst.is_memory:
+            if inst.instr.is_memory:
                 self.lsq.allocate(inst)
             queue.insert(inst, self.regfile, self.wakeup)
             pseudo_rob.insert(inst)
@@ -920,9 +952,10 @@ class OoOCommitPipeline(PipelineBase):
         physical register of the root long-latency load whose completion
         should wake them from the SLIQ.
         """
-        if inst.squashed:
+        if inst.state is InstState.SQUASHED:
             return RetireClass.FINISHED, None
-        if inst.is_store:
+        instr = inst.instr
+        if instr.is_store:
             # Stores keep their own Figure-12 category, but a store whose
             # data depends on a long-latency chain is still moved out of the
             # issue queue (it would otherwise clog it until the chain
@@ -932,7 +965,7 @@ class OoOCommitPipeline(PipelineBase):
                 if root is not None:
                     return RetireClass.STORE, root
             return RetireClass.STORE, None
-        if inst.is_load:
+        if instr.is_load:
             if inst.state is InstState.DONE or inst.state is InstState.COMMITTED:
                 self.tracker.clear_redefinition(inst)
                 return RetireClass.FINISHED_LOAD, None
@@ -947,7 +980,7 @@ class OoOCommitPipeline(PipelineBase):
             if root is not None:
                 self.tracker.mark_dependent(inst, root)
                 return RetireClass.MOVED, root
-            if self.hierarchy.would_miss_l2(inst.instr.mem_addr or 0, self.cycle):
+            if self.hierarchy.would_miss_l2(instr.mem_addr or 0, self.cycle):
                 self.tracker.clear_redefinition(inst)
                 self.tracker.mark_long_latency_load(inst)
                 # Mark the load itself long-latency so its completion wakes
@@ -988,7 +1021,9 @@ class OoOCommitPipeline(PipelineBase):
             if oldest is None or inst.checkpoint_id != oldest.uid:
                 return False
             self._phys_pool.force_claim()
-            self.stats.counter("prf.late_alloc_forced_claims").add()
+            if self._forced_claims is None:
+                self._forced_claims = self.stats.counter("prf.late_alloc_forced_claims")
+            self._forced_claims.value += 1
         inst.claimed_phys = True
         self._claimed_tags.add(inst.phys_dest)
         return True
@@ -1009,12 +1044,13 @@ class OoOCommitPipeline(PipelineBase):
             # Late allocation with early recycling: when a redefinition has
             # produced its own value, the displaced value's register dies.
             self._release_claimed_tag(inst.old_phys_dest)
+        instr = inst.instr
         if inst.phys_dest is not None:
             if self.sliq is not None and self.sliq.has_waiters(inst.phys_dest):
                 self.sliq.notify_ready(inst.phys_dest)
-            if inst.is_load and inst.long_latency:
+            if instr.is_load and inst.long_latency:
                 self.tracker.clear_root(inst.phys_dest)
-        if inst.is_memory and not inst.is_store:
+        if instr.is_memory and not instr.is_store:
             # Loads release their LSQ entry at completion; stores hold
             # theirs until their checkpoint commits and they drain.
             self.lsq.release(inst)
@@ -1023,10 +1059,10 @@ class OoOCommitPipeline(PipelineBase):
         if self.pseudo_rob.contains(inst):
             # Cheap recovery: the pseudo-ROB still holds the branch, so
             # only strictly-younger instructions have to be unwound.
-            self._pseudo_rob_recoveries.add()
+            self._pseudo_rob_recoveries.value += 1
             self._recover_via_pseudo_rob(inst)
             return
-        self._checkpoint_recoveries.add()
+        self._checkpoint_recoveries.value += 1
         checkpoint = self.checkpoints.find(inst.checkpoint_id) if inst.checkpoint_id is not None else None
         if checkpoint is None:
             # The checkpoint already committed (should not happen for an
@@ -1081,14 +1117,14 @@ class OoOCommitPipeline(PipelineBase):
             # Second, careful pass: the state at the preceding checkpoint is
             # precise; deliver the exception and continue.
             self._careful_indices.discard(inst.trace_index)
-            self._exceptions_delivered.add()
+            self._exceptions_delivered.value += 1
             return
         checkpoint = self.checkpoints.find(inst.checkpoint_id) if inst.checkpoint_id is not None else None
         if checkpoint is None:
-            self._exceptions_delivered.add()
+            self._exceptions_delivered.value += 1
             return
         self._careful_indices.add(inst.trace_index)
-        self._exception_rollbacks.add()
+        self._exception_rollbacks.value += 1
         self._rollback_to(checkpoint)
 
     # -- rollback --------------------------------------------------------------------------------------------
@@ -1132,7 +1168,7 @@ class OoOCommitPipeline(PipelineBase):
             self._release_claimed_tag(inst.phys_dest)
             inst.claimed_phys = False
         self._squash_bookkeeping(inst)
-        self._squashed_counter.add()
+        self._squashed_counter.value += 1
 
     # -- commit ----------------------------------------------------------------------------------------------
     def _commit_stage(self) -> None:
@@ -1179,11 +1215,10 @@ class OoOCommitPipeline(PipelineBase):
         ):
             store = checkpoint.stores[self._drain_position]
             self._drain_position += 1
-            if store.squashed:
+            if store.state is InstState.SQUASHED:
                 continue
-            self.hierarchy.data_access(
-                store.instr.mem_addr or 0, True, self.cycle, pc=store.instr.pc
-            )
+            instr = store.instr
+            self.hierarchy.data_access(instr.mem_addr or 0, True, self.cycle, pc=instr.pc)
             self.lsq.release(store)
             drained += 1
         if self._drain_position >= len(checkpoint.stores):
@@ -1197,7 +1232,7 @@ class OoOCommitPipeline(PipelineBase):
                 self._release_claimed_tag(tag)
         self.renamer.free_registers(checkpoint.to_free)
         for inst in checkpoint.instructions:
-            if inst.squashed:
+            if inst.state is InstState.SQUASHED:
                 continue
             inst.state = InstState.COMMITTED
             inst.commit_cycle = self.cycle
@@ -1224,9 +1259,31 @@ class OoOCommitPipeline(PipelineBase):
                     break
 
     def _sample_cycles(self, cycles: int) -> None:
-        super()._sample_cycles(cycles)
-        self.pseudo_rob.sample_occupancy(cycles)
-        self.checkpoints.sample_occupancy(cycles)
+        in_flight = self.in_flight
+        live = self.live
+        int_queue, fp_queue, lsq = self.int_queue, self.fp_queue, self.lsq
+        pseudo_rob, checkpoints = self.pseudo_rob, self.checkpoints
+        for mean, value in (
+            (int_queue.occupancy_mean, int_queue.occupancy),
+            (fp_queue.occupancy_mean, fp_queue.occupancy),
+            (lsq.occupancy_mean, lsq.occupancy),
+            (self._in_flight_mean, in_flight),
+            (self._live_mean, live),
+            (self._live_fp_long_mean, self.live_fp_long),
+            (self._live_fp_short_mean, self.live_fp_short),
+            (pseudo_rob.occupancy_mean, pseudo_rob.occupancy),
+            (checkpoints.occupancy_mean, checkpoints.occupancy),
+        ):
+            mean.count += cycles
+            mean.total += value * cycles
+            if mean.min is None or value < mean.min:
+                mean.min = value
+            if mean.max is None or value > mean.max:
+                mean.max = value
+        weights = self._in_flight_weights
+        weights[in_flight] = weights.get(in_flight, 0) + cycles
+        weights = self._live_weights
+        weights[live] = weights.get(live, 0) + cycles
 
     def _pseudo_rob_drain_due(self) -> bool:
         """Whether a stalled dispatch leaves the pseudo-ROB drain work to do.
@@ -1283,7 +1340,7 @@ class OoOCommitPipeline(PipelineBase):
         instruction still depends on another parked producer and should be
         re-filed under it instead of occupying an issue-queue slot.
         """
-        if inst.squashed or inst.state is not InstState.DISPATCHED:
+        if inst.state is not InstState.DISPATCHED:
             return True
         if self.sliq is not None:
             for preg in inst.phys_srcs:
@@ -1318,6 +1375,8 @@ class OoOCommitPipeline(PipelineBase):
         # The caller immediately removes one entry from the re-insertion
         # stream, so the SLIQ occupancy only overshoots transiently.
         self.sliq.insert(victim, pending[0], self.cycle, force=True)
-        self.stats.counter("sliq.pressure_evictions").add()
+        if self._pressure_evictions is None:
+            self._pressure_evictions = self.stats.counter("sliq.pressure_evictions")
+        self._pressure_evictions.value += 1
         return True
 

@@ -19,7 +19,7 @@ from typing import Deque, List, Optional
 
 from ..common.errors import StructuralHazardError
 from ..common.stats import StatsRegistry
-from ..isa.instruction import DynInst, RetireClass
+from ..isa.instruction import DynInst, InstState, RetireClass
 
 
 class PseudoROB:
@@ -27,11 +27,11 @@ class PseudoROB:
 
     __slots__ = (
         "capacity",
+        "occupancy_mean",
         "_entries",
         "_inserts",
         "_retirements",
-        "_occupancy_mean",
-        "_retire_histogram",
+        "_retire_classes",
     )
 
     def __init__(self, capacity: int, stats: StatsRegistry) -> None:
@@ -41,8 +41,10 @@ class PseudoROB:
         self._entries: Deque[DynInst] = deque()
         self._inserts = stats.counter("pseudo_rob.inserts")
         self._retirements = stats.counter("pseudo_rob.retirements")
-        self._occupancy_mean = stats.running_mean("pseudo_rob.occupancy")
-        self._retire_histogram = stats.histogram("pseudo_rob.retire_class")
+        #: Sampled by the pipeline at the end of every cycle.
+        self.occupancy_mean = stats.running_mean("pseudo_rob.occupancy")
+        #: The Figure-12 breakdown: retirement class value -> count.
+        self._retire_classes = stats.histogram("pseudo_rob.retire_class").buckets
 
     # -- capacity -----------------------------------------------------------------
     @property
@@ -60,16 +62,13 @@ class PseudoROB:
     def free_entries(self) -> int:
         return self.capacity - len(self._entries)
 
-    def sample_occupancy(self, cycles: int = 1) -> None:
-        self._occupancy_mean.sample_many(len(self._entries), cycles)
-
     # -- contents -------------------------------------------------------------------
     def insert(self, inst: DynInst) -> None:
         if self.is_full:
             raise StructuralHazardError("pseudo-ROB overflow")
         inst.in_pseudo_rob = True
         self._entries.append(inst)
-        self._inserts.add()
+        self._inserts.value += 1
 
     def oldest(self) -> Optional[DynInst]:
         return self._entries[0] if self._entries else None
@@ -80,12 +79,14 @@ class PseudoROB:
             raise StructuralHazardError("retire from an empty pseudo-ROB")
         inst = self._entries.popleft()
         inst.in_pseudo_rob = False
-        self._retirements.add()
+        self._retirements.value += 1
         return inst
 
     def record_classification(self, retire_class: RetireClass) -> None:
         """Account one retirement in the Figure-12 breakdown histogram."""
-        self._retire_histogram.add(retire_class.value)
+        # ``_value_``: the ``value`` property is a Python call per access.
+        key = retire_class._value_
+        self._retire_classes[key] = self._retire_classes.get(key, 0) + 1
 
     def contains(self, inst: DynInst) -> bool:
         """Cheap membership test used by branch recovery."""
@@ -93,9 +94,11 @@ class PseudoROB:
 
     def remove_squashed(self) -> List[DynInst]:
         """Drop squashed entries after a rollback; returns what was removed."""
-        removed = [inst for inst in self._entries if inst.squashed]
+        removed = [inst for inst in self._entries if inst.state is InstState.SQUASHED]
         if removed:
-            self._entries = deque(inst for inst in self._entries if not inst.squashed)
+            self._entries = deque(
+                inst for inst in self._entries if inst.state is not InstState.SQUASHED
+            )
             for inst in removed:
                 inst.in_pseudo_rob = False
         return removed

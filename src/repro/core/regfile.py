@@ -63,8 +63,11 @@ class PhysicalRegisterFile:
         reg = self._free.popleft()
         self._is_free[reg] = False
         self._ready[reg] = False
-        self._allocations.add()
-        self._peak.peak(self.in_use_count)
+        self._allocations.value += 1
+        in_use = self.num_regs - len(self._free)
+        peak = self._peak
+        if in_use > peak.value:
+            peak.value = in_use
         return reg
 
     def free(self, reg: int) -> None:
@@ -75,7 +78,7 @@ class PhysicalRegisterFile:
         self._is_free[reg] = True
         self._ready[reg] = False
         self._free.append(reg)
-        self._frees.add()
+        self._frees.value += 1
 
     def is_free(self, reg: int) -> bool:
         self._check(reg)
@@ -104,6 +107,22 @@ class PhysicalRegisterFile:
     def is_ready(self, reg: int) -> bool:
         self._check(reg)
         return self._ready[reg]
+
+    def unready(self, regs: Iterable[int]) -> Set[int]:
+        """The registers among ``regs`` that are not ready yet.
+
+        One call per issue-queue insertion instead of an :meth:`is_ready`
+        per source; every id is range-checked as :meth:`is_ready` would.
+        """
+        ready = self._ready
+        num_regs = self.num_regs
+        pending: Set[int] = set()
+        for reg in regs:
+            if not 0 <= reg < num_regs:
+                self._check(reg)  # raises the out-of-range error
+            if not ready[reg]:
+                pending.add(reg)
+        return pending
 
     def mark_all_ready(self, regs: Iterable[int]) -> None:
         """Mark several registers ready (used for the initial architectural map)."""
@@ -155,10 +174,11 @@ class PhysicalPool:
     def try_claim(self) -> bool:
         """Claim one register; False (and a stall statistic) if none is free."""
         if self._claimed >= self.capacity:
-            self._stall_cycles.add()
+            self._stall_cycles.value += 1
             return False
         self._claimed += 1
-        self._peak.peak(self._claimed)
+        if self._claimed > self._peak.value:
+            self._peak.value = self._claimed
         return True
 
     def force_claim(self) -> None:
@@ -170,7 +190,8 @@ class PhysicalPool:
         transient overshoot is recorded in the peak statistic.
         """
         self._claimed += 1
-        self._peak.peak(self._claimed)
+        if self._claimed > self._peak.value:
+            self._peak.value = self._claimed
 
     def release(self, count: int = 1) -> None:
         if count < 0 or count > self._claimed:

@@ -51,7 +51,7 @@ class MapTableRenamer:
 
     def can_rename(self, inst: DynInst) -> bool:
         """True if a free destination register is available (or none is needed)."""
-        return inst.dest is None or self.regfile.has_free()
+        return inst.instr.dest is None or self.regfile.has_free()
 
     # -- renaming ------------------------------------------------------------
     def rename(self, inst: DynInst) -> Tuple[List[int], Optional[int], Optional[int]]:
@@ -59,17 +59,19 @@ class MapTableRenamer:
 
         The caller must have checked :meth:`can_rename`.
         """
-        phys_srcs = [self._map[src] for src in inst.srcs]
+        instr = inst.instr
+        phys_srcs = [self._map[src] for src in instr.srcs]
         phys_dest: Optional[int] = None
         old_phys_dest: Optional[int] = None
-        if inst.dest is not None:
+        dest = instr.dest
+        if dest is not None:
             phys_dest = self.regfile.allocate()
-            old_phys_dest = self._map[inst.dest]
-            self._map[inst.dest] = phys_dest
+            old_phys_dest = self._map[dest]
+            self._map[dest] = phys_dest
         inst.phys_srcs = phys_srcs
         inst.phys_dest = phys_dest
         inst.old_phys_dest = old_phys_dest
-        self._renames.add()
+        self._renames.value += 1
         return phys_srcs, phys_dest, old_phys_dest
 
     # -- commit-time release ----------------------------------------------------
@@ -87,12 +89,13 @@ class MapTableRenamer:
         """
         if inst.phys_dest is None:
             return
-        if inst.dest is None or inst.old_phys_dest is None:
+        dest = inst.instr.dest
+        if dest is None or inst.old_phys_dest is None:
             raise RenameError(f"cannot undo rename of seq={inst.seq}: missing old mapping")
-        if self._map[inst.dest] != inst.phys_dest:
+        if self._map[dest] != inst.phys_dest:
             raise RenameError(
-                f"undo out of order: {regs.reg_name(inst.dest)} maps to "
-                f"{self._map[inst.dest]}, expected {inst.phys_dest}"
+                f"undo out of order: {regs.reg_name(dest)} maps to "
+                f"{self._map[dest]}, expected {inst.phys_dest}"
             )
-        self._map[inst.dest] = inst.old_phys_dest
+        self._map[dest] = inst.old_phys_dest
         self.regfile.free(inst.phys_dest)

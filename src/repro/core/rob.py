@@ -42,7 +42,7 @@ class ReorderBuffer:
 
     def note_full_stall(self, cycles: int = 1) -> None:
         """Statistic hook called by dispatch when it stalls on a full ROB."""
-        self._full_stalls.add(cycles)
+        self._full_stalls.value += cycles
 
     # -- contents ---------------------------------------------------------------
     def insert(self, inst: DynInst) -> None:
@@ -50,7 +50,7 @@ class ReorderBuffer:
         if self.is_full:
             raise StructuralHazardError("ROB overflow")
         self._entries.append(inst)
-        self._inserts.add()
+        self._inserts.value += 1
 
     def head(self) -> Optional[DynInst]:
         """Oldest in-flight instruction, or None when empty."""
@@ -61,7 +61,7 @@ class ReorderBuffer:
         if not self._entries:
             raise StructuralHazardError("commit from an empty ROB")
         inst = self._entries.popleft()
-        self._commits.add()
+        self._commits.value += 1
         return inst
 
     def committable(self, width: int) -> List[DynInst]:

@@ -36,7 +36,7 @@ from typing import Callable, Deque, Dict, List, Optional, Set, Union
 from ..common.config import SLIQConfig
 from ..common.errors import StructuralHazardError
 from ..common.stats import StatsRegistry
-from ..isa.instruction import DynInst
+from ..isa.instruction import DynInst, InstState
 
 #: The re-insertion callback returns True (accepted into an issue queue),
 #: False (stall: try again next cycle), or a physical-register id meaning
@@ -66,7 +66,7 @@ class LongLatencyTracker:
         mask = self._mask
         if not mask:
             return None
-        for src in inst.srcs:
+        for src in inst.instr.srcs:
             root = mask.get(src)
             if root is not None:
                 return root
@@ -75,18 +75,21 @@ class LongLatencyTracker:
     # -- updates -------------------------------------------------------------------
     def mark_long_latency_load(self, inst: DynInst) -> None:
         """A load that missed in L2 was retired from the pseudo-ROB."""
-        if inst.dest is not None and inst.phys_dest is not None:
-            self._mask[inst.dest] = inst.phys_dest
+        dest = inst.instr.dest
+        if dest is not None and inst.phys_dest is not None:
+            self._mask[dest] = inst.phys_dest
 
     def mark_dependent(self, inst: DynInst, root: int) -> None:
         """A dependent instruction propagates the mark to its destination."""
-        if inst.dest is not None:
-            self._mask[inst.dest] = root
+        dest = inst.instr.dest
+        if dest is not None:
+            self._mask[dest] = root
 
     def clear_redefinition(self, inst: DynInst) -> None:
         """An independent instruction redefining a marked register clears it."""
-        if inst.dest is not None:
-            self._mask.pop(inst.dest, None)
+        dest = inst.instr.dest
+        if dest is not None:
+            self._mask.pop(dest, None)
 
     def clear_root(self, root_preg: int) -> None:
         """Drop every mark whose root load (physical register) completed."""
@@ -160,10 +163,22 @@ class SlowLaneQueue:
         return bool(self._reinsert_stream)
 
     def note_full_stall(self, cycles: int = 1) -> None:
-        self._full_stalls.add(cycles)
+        self._full_stalls.value += cycles
 
     def sample_occupancy(self, cycles: int = 1) -> None:
-        self._occupancy_mean.sample_many(self.occupancy, cycles)
+        """Sample the occupancy ``cycles`` times, updating the mean in place.
+
+        The pipeline calls it every stepped cycle and the event-driven
+        kernel applies it as an idle effect, so it stays a method.
+        """
+        occupancy = self._waiting_count + len(self._reinsert_stream)
+        mean = self._occupancy_mean
+        mean.count += cycles
+        mean.total += occupancy * cycles
+        if mean.min is None or occupancy < mean.min:
+            mean.min = occupancy
+        if mean.max is None or occupancy > mean.max:
+            mean.max = occupancy
 
     # -- queries used by the pipeline ----------------------------------------------------
     def has_waiters(self, preg: int) -> bool:
@@ -207,9 +222,9 @@ class SlowLaneQueue:
             raise StructuralHazardError("SLIQ overflow")
         if inst.sliq_enter_cycle is None:
             inst.sliq_enter_cycle = cycle
-            self._inserts.add()
+            self._inserts.value += 1
         else:
-            self._refiles.add()
+            self._refiles.value += 1
         ready_fn = self._ready_fn
         already_ready = ready_fn(wakeup_preg) if ready_fn is not None else False
         self._park(inst)
@@ -229,11 +244,11 @@ class SlowLaneQueue:
         bucket = self._waiting.pop(preg, None)
         if bucket is None:
             return
-        self._wakeups.add()
+        self._wakeups.value += 1
         self._waiting_count -= len(bucket)
         matched: List[DynInst] = []
         for inst in bucket:
-            if inst.squashed:
+            if inst.state is InstState.SQUASHED:
                 self._unpark(inst)
             else:
                 matched.append(inst)
@@ -266,7 +281,7 @@ class SlowLaneQueue:
         processed = 0
         while stream and processed < self.config.reinsert_width:
             inst = stream[0]
-            if inst.squashed:
+            if inst.state is InstState.SQUASHED:
                 stream.popleft()
                 self._unpark(inst)
                 continue
@@ -277,7 +292,7 @@ class SlowLaneQueue:
             self._unpark(inst)
             processed += 1
             if result is True:
-                self._reinserts.add()
+                self._reinserts.value += 1
             else:
                 # Still dependent on a parked producer: re-file under it.
                 self.insert(inst, int(result), cycle)
@@ -289,24 +304,26 @@ class SlowLaneQueue:
         removed: List[DynInst] = []
         for preg in list(self._waiting):
             bucket = self._waiting[preg]
-            dead = [inst for inst in bucket if inst.squashed]
+            dead = [inst for inst in bucket if inst.state is InstState.SQUASHED]
             if not dead:
                 continue
             for inst in dead:
                 self._unpark(inst)
             removed.extend(dead)
             self._waiting_count -= len(dead)
-            kept = [inst for inst in bucket if not inst.squashed]
+            kept = [inst for inst in bucket if inst.state is not InstState.SQUASHED]
             if kept:
                 self._waiting[preg] = kept
             else:
                 del self._waiting[preg]
-        stream_removed = [inst for inst in self._reinsert_stream if inst.squashed]
+        stream_removed = [
+            inst for inst in self._reinsert_stream if inst.state is InstState.SQUASHED
+        ]
         if stream_removed:
             for inst in stream_removed:
                 self._unpark(inst)
             self._reinsert_stream = deque(
-                inst for inst in self._reinsert_stream if not inst.squashed
+                inst for inst in self._reinsert_stream if inst.state is not InstState.SQUASHED
             )
         removed.extend(stream_removed)
         return removed

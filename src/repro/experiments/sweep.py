@@ -187,6 +187,8 @@ def cell_cache_key(
     scale: float,
     simulator_version: Optional[str] = None,
     sampling: Optional[SamplingPlan] = None,
+    *,
+    config_dict: Optional[Dict[str, object]] = None,
 ) -> str:
     """Stable content hash identifying one simulation cell.
 
@@ -200,9 +202,12 @@ def cell_cache_key(
     ``repro.__version__``).  The ``sampling`` component is only added to
     the payload when a plan is set, so every pre-sampling cache key is
     byte-for-byte unchanged.
+
+    ``config_dict`` is ``config.to_dict()`` when the caller already has
+    it: a sweep serializes each distinct config once, not once per cell.
     """
     payload = {
-        "config": config.to_dict(),
+        "config": config_dict if config_dict is not None else config.to_dict(),
         "suite": suite,
         "workload": workload,
         "scale": round(float(scale), 9),
@@ -676,12 +681,23 @@ class SweepEngine:
         slots: List[Optional[SimulationResult]] = [None] * len(cells)
         if self.cache is None and self.journal is None:
             return slots, [""] * len(cells)
-        keys = [
-            cell_cache_key(
-                cell.config, spec.suite, cell.workload, spec.scale, sampling=spec.sampling
+        # Cells of one config share its object, and its serialization.
+        config_dicts: Dict[int, Dict[str, object]] = {}
+        keys: List[str] = []
+        for cell in cells:
+            config_dict = config_dicts.get(id(cell.config))
+            if config_dict is None:
+                config_dict = config_dicts[id(cell.config)] = cell.config.to_dict()
+            keys.append(
+                cell_cache_key(
+                    cell.config,
+                    spec.suite,
+                    cell.workload,
+                    spec.scale,
+                    sampling=spec.sampling,
+                    config_dict=config_dict,
+                )
             )
-            for cell in cells
-        ]
         if self.cache is not None:
             for cell in cells:
                 slots[cell.index] = self.cache.load(keys[cell.index])

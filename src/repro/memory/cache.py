@@ -72,15 +72,15 @@ class Cache:
         miss does *not* install the line — the hierarchy decides when the
         fill happens via :meth:`fill`.
         """
-        self._accesses.add()
+        self._accesses.value += 1
         cache_set = self._sets[self._set_index(addr)]
         tag = self._tag(addr)
         if tag in cache_set:
-            self._hits.add()
+            self._hits.value += 1
             dirty = cache_set.pop(tag)
             cache_set[tag] = dirty or is_write
             return True
-        self._misses.add()
+        self._misses.value += 1
         return False
 
     def warm_access(self, addr: int, is_write: bool = False) -> bool:
@@ -127,9 +127,9 @@ class Cache:
         victim_line = None
         if len(cache_set) >= self.config.assoc:
             victim_tag, victim_dirty = cache_set.popitem(last=False)
-            self._evictions.add()
+            self._evictions.value += 1
             if victim_dirty:
-                self._writebacks.add()
+                self._writebacks.value += 1
                 victim_line = victim_tag << self._line_shift
         cache_set[tag] = dirty
         return victim_line

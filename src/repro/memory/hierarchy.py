@@ -120,9 +120,9 @@ class CacheHierarchy:
 
     def _demand_access(self, addr: int, is_store: bool, cycle: int) -> AccessResult:
         if is_store:
-            self._stores.add()
+            self._stores.value += 1
         else:
-            self._loads.add()
+            self._loads.value += 1
 
         if self.config.perfect_dl1:
             return AccessResult(self.config.dl1.latency, "dl1", False, False)
@@ -138,7 +138,7 @@ class CacheHierarchy:
                 ready_cycle, from_memory = pending
                 latency = max(dl1_latency, ready_cycle - cycle)
                 if from_memory and not is_store:
-                    self._l2_miss_loads.add()
+                    self._l2_miss_loads.value += 1
                 return AccessResult(latency, "mshr", from_memory, True)
             return AccessResult(dl1_latency, "dl1", False, False)
 
@@ -149,7 +149,7 @@ class CacheHierarchy:
             latency = max(dl1_latency, ready_cycle - cycle)
             self.dl1.fill(addr, dirty=is_store)
             if from_memory and not is_store:
-                self._l2_miss_loads.add()
+                self._l2_miss_loads.value += 1
             return AccessResult(latency, "mshr", from_memory, True)
 
         l2_latency = dl1_latency + self.config.l2.latency
@@ -164,7 +164,7 @@ class CacheHierarchy:
                 self.dl1.fill(addr, dirty=is_store)
                 self._dl1_mshr.allocate(line, cycle + latency, from_memory=from_memory)
                 if from_memory and not is_store:
-                    self._l2_miss_loads.add()
+                    self._l2_miss_loads.value += 1
                 return AccessResult(latency, "mshr", from_memory, True)
             self.l2.fill(addr)
             self.dl1.fill(addr, dirty=is_store)
@@ -179,9 +179,9 @@ class CacheHierarchy:
         else:
             latency = l2_latency + self.config.memory_latency
             self._l2_mshr.allocate(l2_line, cycle + latency, from_memory=True)
-            self._memory_accesses.add()
+            self._memory_accesses.value += 1
         if not is_store:
-            self._l2_miss_loads.add()
+            self._l2_miss_loads.value += 1
         self.l2.fill(addr, dirty=is_store)
         self.dl1.fill(addr, dirty=is_store)
         self._dl1_mshr.allocate(line, cycle + latency, from_memory=True)

@@ -38,7 +38,7 @@ class MSHRFile:
         if entry[0] <= cycle:
             del self._outstanding[line_addr]
             return None
-        self._merges.add()
+        self._merges.value += 1
         return entry
 
     def allocate(self, line_addr: int, ready_cycle: int, from_memory: bool = False) -> bool:
@@ -47,7 +47,7 @@ class MSHRFile:
         if self.capacity is not None and len(self._outstanding) >= self.capacity:
             return False
         self._outstanding[line_addr] = (ready_cycle, from_memory)
-        self._allocations.add()
+        self._allocations.value += 1
         return True
 
     def _prune(self, cycle: int) -> None:

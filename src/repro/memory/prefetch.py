@@ -37,7 +37,7 @@ class PrefetchEngine:
 
     def record_useful(self) -> None:
         """A demand access hit a line that was brought in by a prefetch."""
-        self._useful.add()
+        self._useful.value += 1
 
     @property
     def issued(self) -> int:
@@ -74,7 +74,7 @@ class NextLinePrefetcher(PrefetchEngine):
             return []
         base = self._line(addr)
         addresses = [base + (i + 1) * self.line_bytes for i in range(self.degree)]
-        self._issued.add(len(addresses))
+        self._issued.value += len(addresses)
         return addresses
 
 
@@ -127,7 +127,7 @@ class StridePrefetcher(PrefetchEngine):
                     seen.add(target)
                     addresses.append(target)
             self._table[region] = (addr, stride, True)
-            self._issued.add(len(addresses))
+            self._issued.value += len(addresses)
         else:
             self._table[region] = (addr, stride, False)
         return addresses

@@ -225,6 +225,35 @@ class TestSampleFlagErrors:
         assert "period" in capsys.readouterr().err
 
 
+class TestSamplingLeversRequireSample:
+    """--sample-jobs/--checkpoint-dir act only on a sampled run, so every
+    command that takes them refuses them without --sample (exit 2) rather
+    than silently ignoring them."""
+
+    COMMANDS = {
+        "simulate": ["simulate", "--workload", "daxpy", "--size", "50"],
+        "suite-sweep": ["sweep", "--suite", "pointer-chase", "--scale", "0.05",
+                        "--no-cache", "--quiet"],
+        "figure-sweep": ["sweep", "figure07", "--scale", "0.05", "--no-cache", "--quiet"],
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize(
+        "levers",
+        [("--sample-jobs",), ("--checkpoint-dir",), ("--sample-jobs", "--checkpoint-dir")],
+    )
+    def test_levers_without_sample_exit_2(self, tmp_path, capsys, command, levers):
+        checkpoint_dir = tmp_path / "ckpt"
+        args = list(self.COMMANDS[command])
+        for lever in levers:
+            args += [lever, "2" if lever == "--sample-jobs" else str(checkpoint_dir)]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert "--sample-jobs/--checkpoint-dir require --sample" in captured.err
+        assert captured.out == ""
+        assert not checkpoint_dir.exists()
+
+
 class TestCheckpointCommand:
     """repro checkpoint save|info|gc (mirrors 'repro trace')."""
 

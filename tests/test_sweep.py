@@ -317,6 +317,26 @@ class TestCacheKeyStability:
             cooo_config(), "spec2000fp_like", "gather", 0.6
         ) == "68a9d69c06c37a496aab6379e9f32894219fa7195db7220d5b2be62f94db0044"
 
+    def test_key_derivation_serializes_each_config_once(self, tmp_path, monkeypatch):
+        """A sweep derives its cell keys from one ``to_dict()`` per config,
+        not one per cell, and the keys equal ``cell_cache_key``'s own."""
+        spec = small_spec()
+        cells = spec.cells()
+        expected = [
+            cell_cache_key(cell.config, spec.suite, cell.workload, spec.scale) for cell in cells
+        ]
+        serialized = []
+        to_dict = ProcessorConfig.to_dict
+
+        def counted_to_dict(config):
+            serialized.append(config)
+            return to_dict(config)
+
+        monkeypatch.setattr(ProcessorConfig, "to_dict", counted_to_dict)
+        _, keys = SweepEngine(cache=ResultCache(tmp_path))._load_cached(cells, spec)
+        assert keys == expected
+        assert len(serialized) == len(spec.configs) < len(cells)
+
     def test_default_suite_traces_are_frozen(self):
         import hashlib
 
